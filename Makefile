@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet vuln staticcheck cobra-lint cobra-escape lint fmt-check cover bench bench-quick serve-bench ci
+.PHONY: all build test race vet vuln staticcheck cobra-lint cobra-escape lint fmt-check cover bench bench-quick serve-bench bench-check ci
 
 all: build
 
@@ -75,4 +75,9 @@ bench-quick:
 serve-bench:
 	sh scripts/bench_serve.sh
 
-ci: fmt-check vet cobra-lint cobra-escape build race bench-quick serve-bench
+# The workload benchmark (benchmark/, its own module replacing the root
+# one) builds against this checkout: vet it and run its own tests.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt-check vet cobra-lint cobra-escape build race bench-check bench-quick serve-bench

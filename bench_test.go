@@ -238,7 +238,7 @@ func BenchmarkCompressDP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DPSingleTree(set, tree, bound); err != nil {
+		if _, err := core.DPSingleTreeSource(set, tree, bound, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func BenchmarkCompressGreedy(b *testing.B) {
 
 func BenchmarkApplyCut(b *testing.B) {
 	set, tree := benchSet(b)
-	res, err := core.DPSingleTree(set, tree, set.Size()/3)
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()/3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func BenchmarkEvalCompiled(b *testing.B) {
 
 func BenchmarkEvalCompiledCompressed(b *testing.B) {
 	set, tree := benchSet(b)
-	res, err := core.DPSingleTree(set, tree, set.Size()*36/132) // the S1-like cut
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()*36/132, 1) // the S1-like cut
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func BenchmarkEvalBatch100Scenarios(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = prog.EvalBatch(scenarios, out)
+		out = prog.EvalBatchN(scenarios, out, 1)
 	}
 }
 
@@ -382,7 +382,7 @@ func BenchmarkCompressDPWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DPSingleTreeN(set, tree, bound, w); err != nil {
+				if _, err := core.DPSingleTreeSource(set, tree, bound, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -399,7 +399,7 @@ func BenchmarkForestDescentWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ForestDescentN(set, forest, bound, 0, w); err != nil {
+				if _, err := core.ForestDescentSource(set, forest, bound, 0, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -411,7 +411,7 @@ func BenchmarkApplyCutWorkers(b *testing.B) {
 	names := cobra.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 500_000}, names)
 	tree := telephony.PlansTree(names)
-	res, err := core.DPSingleTree(set, tree, set.Size()/3)
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()/3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -490,8 +490,8 @@ func BenchmarkCaptureWorkers(b *testing.B) {
 // the paired workloads with workers=2 may not allocate more than a small
 // overhead above workers=1 (pool bookkeeping — goroutines and per-worker
 // scratch — is O(workers), far below the per-item work). The regressions
-// this assertion pins down were 10× on CompressDP and +20% on
-// ForestDescent before the sharded signature scan interned keys through
+// this assertion pins down were 10× on CompressDP and +20% on forest
+// descent before the sharded signature scan interned keys through
 // elided map reads and forest descent dropped its speculative round.
 func TestWorkerAllocParity(t *testing.T) {
 	if testing.Short() {
@@ -510,15 +510,15 @@ func TestWorkerAllocParity(t *testing.T) {
 		run  func(workers int) error
 	}{
 		{"CompressDP", func(w int) error {
-			_, err := core.DPSingleTreeN(set, tree, bound, w)
+			_, err := core.DPSingleTreeSource(set, tree, bound, w)
 			return err
 		}},
-		{"ForestDescent", func(w int) error {
-			_, err := core.ForestDescentN(set, forest, fbound, 0, w)
+		{"ForestDescentSource", func(w int) error {
+			_, err := core.ForestDescentSource(set, forest, fbound, 0, w)
 			return err
 		}},
 		{"ApplyCut", func(w int) error {
-			res, err := core.DPSingleTreeN(set, tree, bound, 1)
+			res, err := core.DPSingleTreeSource(set, tree, bound, 1)
 			if err == nil {
 				abstraction.ApplyN(set, w, res.Cuts...)
 			}
@@ -569,7 +569,7 @@ func BenchmarkFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Frontier(set, tree); err != nil {
+		if _, err := core.FrontierSourceN(set, tree, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -587,7 +587,7 @@ func BenchmarkBoundSweep32(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, bound := range bounds {
-				if _, err := core.DPSingleTree(set, tree, bound); err != nil && !errors.Is(err, core.ErrInfeasible) {
+				if _, err := core.DPSingleTreeSource(set, tree, bound, 1); err != nil && !errors.Is(err, core.ErrInfeasible) {
 					b.Fatal(err)
 				}
 			}
@@ -596,7 +596,7 @@ func BenchmarkBoundSweep32(b *testing.B) {
 	b.Run("mode=sweep", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.FrontierSweep(set, abstraction.Forest{tree}, bounds, 1); err != nil {
+			if _, err := core.FrontierSweepSource(set, abstraction.Forest{tree}, bounds, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

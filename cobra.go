@@ -34,8 +34,8 @@ type (
 	// per query-output group).
 	Set = polynomial.Set
 	// ShardedSet is a Set split into fixed-size shards that spill to disk
-	// past a memory budget — the out-of-core representation behind
-	// CompressStreamed and EvalStreamed.
+	// past a memory budget — the out-of-core representation a Dataset
+	// opened over it compresses, applies and evaluates shard-at-a-time.
 	ShardedSet = polynomial.ShardedSet
 	// ShardBuilder streams polynomials into a ShardedSet without ever
 	// materializing the whole set.
@@ -206,7 +206,7 @@ func TreeFromJSON(data []byte, names *Names) (*Tree, error) {
 }
 
 // Apply applies cuts to a set, returning the compressed set.
-func Apply(set *Set, cuts ...Cut) *Set { return abstraction.Apply(set, cuts...) }
+func Apply(set *Set, cuts ...Cut) *Set { return abstraction.ApplyN(set, 1, cuts...) }
 
 // ApplyWith is Apply using opts.Workers goroutines; the compressed set is
 // bit-identical to Apply's.
@@ -264,52 +264,6 @@ func NewShardedSetBuilder(names *Names, opts Options) *ShardBuilder {
 	return polynomial.NewShardBuilder(names, opts.shardOptions())
 }
 
-// CompressStreamed is Compress over a sharded set: the signature index is
-// built shard-at-a-time (exact DP for one tree, coordinate descent for a
-// forest) with peak memory of one shard plus the index. The result is
-// bit-identical to Compress on the materialized set for every worker
-// count.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.Compress, which memoizes per bound and accepts a context. This
-// wrapper remains for back-compat.
-func CompressStreamed(ss *ShardedSet, trees Forest, bound int, opts Options) (*Result, error) {
-	ds, err := OpenDataset("", ss, trees, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.Compress(context.Background(), bound)
-}
-
-// ApplyStreamed applies cuts to a sharded set shard-at-a-time, producing
-// a new ShardedSet under the same memory budget; materializing it yields
-// exactly ApplyWith of the materialized input.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.Apply, which returns the compressed provenance as a new Dataset
-// ready for evaluation. This wrapper remains for back-compat.
-func ApplyStreamed(ss *ShardedSet, opts Options, cuts ...Cut) (*ShardedSet, error) {
-	return abstraction.ApplySharded(ss, opts.Workers, cuts...)
-}
-
-// EvalStreamed evaluates every polynomial of a sharded set under many
-// scenario assignments, compiling and evaluating one shard at a time.
-// Rows are bit-identical to Compile + EvalBatch on the materialized set
-// for every worker count.
-//
-// Deprecated: open the set as a Dataset (OpenDataset) and use
-// Dataset.EvalBatch, which accepts a context and reuses compiled state
-// where possible. This wrapper remains for back-compat.
-func EvalStreamed(ss *ShardedSet, assignments []*Assignment, opts Options) ([][]float64, error) {
-	ds, err := OpenDataset("", ss, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.EvalBatch(context.Background(), assignments)
-}
-
 // Frontier sweeps: one DP run, many bounds. Hypothetical reasoning in
 // practice means sliding a size bound interactively; a frontier is the
 // complete bound→optimum curve, and a sweep answers an arbitrary batch of
@@ -344,24 +298,6 @@ func Frontier(set *Set, tree *Tree) ([]FrontierPoint, error) {
 // indexing pass; the curve is identical for every worker count.
 func FrontierWith(set *Set, tree *Tree, opts Options) ([]FrontierPoint, error) {
 	ds, err := OpenDataset("", set, Forest{tree}, opts)
-	if err != nil {
-		return nil, err
-	}
-	//cobra:ctx deprecated context-free wrapper; the Dataset API threads the caller's context
-	return ds.Frontier(context.Background())
-}
-
-// FrontierStreamed is Frontier over any SetSource — in particular a
-// sharded out-of-core set, whose peak residency stays within its
-// MaxResidentMonomials budget while the curve is computed. The points are
-// bit-identical to Frontier's on the materialized set for every worker
-// count.
-//
-// Deprecated: open the source as a Dataset (OpenDataset) and use
-// Dataset.Frontier, which memoizes the curve and accepts a context. This
-// wrapper remains for back-compat.
-func FrontierStreamed(src SetSource, tree *Tree, opts Options) ([]FrontierPoint, error) {
-	ds, err := OpenDataset("", src, Forest{tree}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +422,7 @@ func ExplainSQL(query string, cat Catalog) (string, error) { return sql.Explain(
 // CaptureLineage extracts tuple-level (how-)provenance: one N[X] polynomial
 // per output row of the query, from tuple-annotated relations.
 func CaptureLineage(query string, cat Catalog, names *Names) (*Set, error) {
-	return provenance.CaptureLineage(query, cat, names)
+	return provenance.CaptureLineageN(query, cat, names, 1)
 }
 
 // CaptureLineageWith is CaptureLineage using opts.Workers goroutines for
@@ -512,18 +448,18 @@ func MinimalCost(lineage Polynomial, cost func(Var) float64) float64 {
 // by the product of the variables derived from specs (cell-level
 // instrumentation).
 func ParameterizeColumn(rel *Relation, target string, specs []VarSpec, names *Names) (*Relation, error) {
-	return provenance.ParameterizeColumn(rel, target, specs, names)
+	return provenance.ParameterizeColumnN(rel, target, specs, names, 1)
 }
 
 // AnnotateTuples instruments a relation at the tuple level: each tuple's
 // annotation becomes a fresh variable derived from spec.
 func AnnotateTuples(rel *Relation, spec VarSpec, names *Names) (*Relation, error) {
-	return provenance.AnnotateTuples(rel, spec, names)
+	return provenance.AnnotateTuplesN(rel, spec, names, 1)
 }
 
 // Capture runs a query and extracts its provenance polynomials.
 func Capture(query string, cat Catalog, names *Names, valueCol string) (*Set, error) {
-	return provenance.Capture(query, cat, names, valueCol)
+	return provenance.CaptureN(query, cat, names, valueCol, 1)
 }
 
 // CaptureWith is Capture using opts.Workers goroutines end to end: the

@@ -304,7 +304,7 @@ func (st *datasetState) reload() error {
 	if err != nil {
 		return fmt.Errorf("cobra: re-opening evicted dataset %q: %w", st.name, err)
 	}
-	ix.SetResidencyBudget(st.opts.MaxResidentMonomials)
+	ix.SetShardOptions(st.opts.shardOptions())
 	st.src = ix
 	return nil
 }
@@ -417,36 +417,14 @@ func (d *Dataset) Apply(ctx context.Context, cuts ...Cut) (*Dataset, error) {
 		return nil, err
 	}
 	defer release()
-	name := st.name + "/applied"
-	if s, ok := polynomial.Unwrap(src).(*Set); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return OpenDataset(name, abstraction.ApplyN(s, d.workers, cuts...), st.trees, st.opts)
-	}
-	if st.outOfCore {
-		// ShardedSet or a reloaded IndexedSet: stream into a fresh budgeted
-		// ShardedSet so the derived dataset stays out-of-core.
-		shardOpts := st.opts.shardOptions()
-		if ss, ok := polynomial.Unwrap(src).(*ShardedSet); ok {
-			shardOpts = ss.Options()
-		}
-		b := polynomial.NewShardBuilder(st.names, shardOpts)
-		defer b.Discard() // release partial spill files on any error path
-		if err := abstraction.ApplySource(polynomial.WithContext(ctx, src), b, d.workers, cuts...); err != nil {
-			return nil, err
-		}
-		ss, err := b.Finish()
-		if err != nil {
-			return nil, err
-		}
-		return OpenDataset(name, ss, st.trees, st.opts)
-	}
-	out := polynomial.NewSet(st.names)
-	if err := abstraction.ApplySource(polynomial.WithContext(ctx, src), out, d.workers, cuts...); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return OpenDataset(name, out, st.trees, st.opts)
+	out, err := abstraction.ApplyAny(polynomial.WithContext(ctx, src), d.workers, cuts...)
+	if err != nil {
+		return nil, err
+	}
+	return OpenDataset(st.name+"/applied", out, st.trees, st.opts)
 }
 
 // evalChunkRows is how many scenario rows evaluate between context checks

@@ -3,6 +3,7 @@ package cobra_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	cobra "github.com/cobra-prov/cobra"
@@ -269,6 +270,47 @@ func TestDatasetEvictionAnswersIdentically(t *testing.T) {
 	}
 	if &frBefore[0] != &frAfter[0] {
 		t.Fatal("memoized frontier lost across eviction")
+	}
+}
+
+// TestDatasetEvictedForestCompress: forest descent over an evicted (and
+// so reloaded, indexed) dataset answers exactly as before the eviction,
+// for every worker count.
+func TestDatasetEvictedForestCompress(t *testing.T) {
+	ctx := context.Background()
+	names := cobra.NewNames()
+	set := telephony.DirectProvenance(telephony.Config{Customers: 60}, names)
+	forest := cobra.Forest{telephony.PlansTree(names), telephony.MonthsTree(names, 12)}
+	bound := set.Size() / 3
+	open := func() *cobra.Dataset {
+		opts := cobra.Options{MaxResidentMonomials: 512, SpillDir: t.TempDir()}
+		ss, err := cobra.ShardSet(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := cobra.OpenDataset("tel", ss, forest, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		return ds
+	}
+	before, err := open().Compress(ctx, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 8} {
+		ds := open().WithWorkers(w)
+		if evicted, err := ds.Evict(); err != nil || !evicted {
+			t.Fatalf("workers=%d: Evict() = %v, %v", w, evicted, err)
+		}
+		after, err := ds.Compress(ctx, bound)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("workers=%d: Compress after eviction = %+v, want %+v", w, after, before)
+		}
 	}
 }
 

@@ -186,19 +186,51 @@ func (c Cut) Equal(o Cut) bool {
 	return true
 }
 
-// Apply applies one or more cuts (over disjoint trees) to a polynomial set,
-// returning the compressed set.
-func Apply(s *polynomial.Set, cuts ...Cut) *polynomial.Set {
-	return ApplyN(s, 1, cuts...)
-}
-
-// ApplyN is Apply distributed over up to workers goroutines, sharding the
-// variable remapping across polynomials (and, for sets dominated by a few
-// large polynomials, across monomial ranges within them). The compressed set
-// is bit-identical to Apply's for every worker count; workers <= 1 runs the
-// sequential path.
+// ApplyN applies one or more cuts (over disjoint trees) to an in-memory
+// set, returning the compressed set. The variable remapping shards across
+// polynomials (and, for sets dominated by a few large polynomials, across
+// monomial ranges within them) over up to workers goroutines; the
+// compressed set is bit-identical for every worker count.
 func ApplyN(s *polynomial.Set, workers int, cuts ...Cut) *polynomial.Set {
 	return s.MapVarsN(cutMapping(cuts), workers)
+}
+
+// shardOptioner is implemented by the out-of-core sources — a spilling
+// ShardedSet, a reloaded indexed v3 set — and reports the shard options
+// (residency budget, spill directory) derived sets must inherit.
+type shardOptioner interface {
+	Options() polynomial.ShardOptions
+}
+
+// ApplyAny applies cuts to any source and returns the compressed
+// provenance in the source's own representation — the one decision every
+// caller shares: an in-memory Set yields an in-memory Set (ApplyN, no
+// second copy through a sink); an out-of-core source streams into a
+// ShardBuilder under the source's own ShardOptions, so the result spills
+// past the same residency budget; any other source streams into an
+// in-memory Set. The dispatch unwraps context wrappers, but the streaming
+// pass pulls through src itself, so a canceled context still stops it at
+// the next shard boundary. The polynomials are bit-identical for every
+// representation and worker count. Release an out-of-core result by
+// closing it.
+func ApplyAny(src polynomial.SetSource, workers int, cuts ...Cut) (polynomial.SetSource, error) {
+	switch s := polynomial.Unwrap(src).(type) {
+	case *polynomial.Set:
+		return ApplyN(s, workers, cuts...), nil
+	case shardOptioner:
+		b := polynomial.NewShardBuilder(src.Namespace(), s.Options())
+		defer b.Discard() // release partial spill files on any error path
+		if err := applySource(src, b, workers, cuts); err != nil {
+			return nil, err
+		}
+		return b.Finish()
+	default:
+		out := polynomial.NewSet(src.Namespace())
+		if err := applySource(src, out, workers, cuts); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 }
 
 // cutMapping combines the cuts' substitutions into one remap function.
@@ -218,13 +250,10 @@ func cutMapping(cuts []Cut) func(polynomial.Var) polynomial.Var {
 	}
 }
 
-// ApplySource is the one streaming implementation behind every cut
-// application: it remaps src shard-at-a-time (each shard through the exact
-// MapVarsN code, parallel within the shard) and feeds the compressed
-// polynomials to sink in shard order. Whatever the source and sink —
-// in-memory Set to Set, spilling ShardedSet to ShardBuilder, or any mix —
-// the emitted polynomials are bit-identical for every worker count.
-func ApplySource(src polynomial.SetSource, sink polynomial.SetSink, workers int, cuts ...Cut) error {
+// applySource is ApplyAny's streaming pass: it remaps src shard-at-a-time
+// (each shard through the exact MapVarsN code, parallel within the shard)
+// and feeds the compressed polynomials to sink in shard order.
+func applySource(src polynomial.SetSource, sink polynomial.SetSink, workers int, cuts []Cut) error {
 	f := cutMapping(cuts)
 	return polynomial.ForEachShardN(src, workers, func(_, _ int, shard *polynomial.Set) error {
 		mapped := shard.MapVarsN(f, workers)

@@ -7,13 +7,18 @@
 // reasoning).
 //
 // For a single abstraction tree the problem is solved exactly in polynomial
-// time by a bottom-up dynamic program (DPSingleTree), as described in §2 of
+// time by a bottom-up dynamic program (DPSingleTreeSource), as described in §2 of
 // the paper ("the algorithm traverses the abstraction tree in a bottom-up
 // fashion, and using dynamic programming, computes an abstraction for the
 // sub-tree rooted by each one of the inner nodes"). Exhaustive enumeration
 // (Exhaustive) serves as a testing oracle, Greedy as a baseline for
-// ablation, and ForestDescent extends the solution heuristically to
+// ablation, and ForestDescentSource extends the solution heuristically to
 // multiple trees.
+//
+// Each stage has one exported entry point that takes a
+// polynomial.SetSource and a worker count — an in-memory Set and a
+// spilling ShardedSet or indexed v3 set run the same code — and returns
+// bit-identical results for every source representation and worker count.
 package core
 
 import (
@@ -100,7 +105,7 @@ func (r *Result) VarMapping() map[polynomial.Var]polynomial.Var {
 
 // Apply materializes the compressed provenance set.
 func (r *Result) Apply(s *polynomial.Set) *polynomial.Set {
-	return abstraction.Apply(s, r.Cuts...)
+	return abstraction.ApplyN(s, 1, r.Cuts...)
 }
 
 // CompressionRatio returns Size/OriginalSize.
@@ -111,15 +116,8 @@ func (r *Result) CompressionRatio() float64 {
 	return float64(r.Size) / float64(r.OriginalSize)
 }
 
-// Compress solves the instance: exact DP for a single tree, coordinate
-// descent for a forest.
-func Compress(p Problem) (*Result, error) {
-	return CompressSource(p.Set, p.Trees, p.Bound, p.Workers)
-}
-
-// CompressSource solves the instance over any SetSource — the single
-// dispatch behind Compress (in-memory) and CompressSharded (out-of-core):
-// exact DP for a single tree, coordinate descent for a forest.
+// CompressSource solves the instance over any SetSource: exact DP for a
+// single tree, coordinate descent for a forest.
 func CompressSource(src polynomial.SetSource, trees abstraction.Forest, bound int, workers int) (*Result, error) {
 	switch len(trees) {
 	case 0:

@@ -10,53 +10,8 @@ import (
 )
 
 // DefaultForestRounds bounds the coordinate-descent iterations of
-// ForestDescent when the caller passes rounds <= 0.
+// ForestDescentSource when the caller passes rounds <= 0.
 const DefaultForestRounds = 8
-
-// ForestDescent compresses under several abstraction trees (one cut each).
-// The joint problem is NP-hard in general (the compressed size is no longer
-// additive across trees), so we use exact coordinate descent: trees start at
-// their coarsest cut (the jointly minimal size — coarsening any tree can
-// only merge more monomials), then each round re-optimizes one tree at a
-// time with DPSingleTree against the provenance reduced by the other trees'
-// current cuts. Every step keeps the bound satisfied and never decreases the
-// per-tree variable count, so the total variable count is monotone and the
-// procedure converges; rounds caps the number of passes (DefaultForestRounds
-// if <= 0).
-func ForestDescent(set *polynomial.Set, trees abstraction.Forest, bound int, rounds int) (*Result, error) {
-	return ForestDescentN(set, trees, bound, rounds, 1)
-}
-
-// reduceSource applies cuts to src, producing a reduced source of the same
-// underlying representation: an in-memory Set yields an in-memory Set, a
-// ShardedSet yields a ShardedSet under the same options (so intermediate
-// reduced sets spill past the same memory budget). The dispatch unwraps
-// context wrappers so wrapping never changes which algorithm variant runs —
-// but the streaming pass itself pulls through the wrapped src, so a
-// canceled context still stops the pass at the next shard boundary.
-// Release the result with closeSource.
-func reduceSource(src polynomial.SetSource, workers int, cuts ...abstraction.Cut) (polynomial.SetSource, error) {
-	switch s := polynomial.Unwrap(src).(type) {
-	case *polynomial.ShardedSet:
-		b := polynomial.NewShardBuilder(s.Names(), s.Options())
-		defer b.Discard() // release partial spill files on any error path
-		if err := abstraction.ApplySource(src, b, workers, cuts...); err != nil {
-			return nil, err
-		}
-		return b.Finish()
-	case *polynomial.Set:
-		// Direct remap — no second copy through a sink. An in-memory set is
-		// a single shard, so the wrapper's per-shard cancellation check
-		// would fire at most once anyway; skipping it costs nothing.
-		return abstraction.ApplyN(s, workers, cuts...), nil
-	default:
-		out := polynomial.NewSet(src.Namespace())
-		if err := abstraction.ApplySource(src, out, workers, cuts...); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-}
 
 // closeSource releases a source whose representation holds resources
 // (spill files); in-memory sets are left to the garbage collector.
@@ -66,18 +21,21 @@ func closeSource(src polynomial.SetSource) {
 	}
 }
 
-// ForestDescentN is ForestDescent distributed over up to workers
-// goroutines; it forwards to ForestDescentSource, the one coordinate-
-// descent implementation shared with the out-of-core path.
-func ForestDescentN(set *polynomial.Set, trees abstraction.Forest, bound int, rounds int, workers int) (*Result, error) {
-	return ForestDescentSource(set, trees, bound, rounds, workers)
-}
-
-// ForestDescentSource runs coordinate descent over any SetSource. Each
-// round re-optimizes one tree at a time with the single-tree DP against
-// the provenance reduced by the other trees' current cuts; reduction,
-// indexing and the DP all stream shard-at-a-time through the SetSource
-// seam, so the same code serves in-memory sets and spilling sharded sets.
+// ForestDescentSource compresses under several abstraction trees (one cut
+// each). The joint problem is NP-hard in general (the compressed size is
+// no longer additive across trees), so it uses exact coordinate descent:
+// trees start at their coarsest cut (the jointly minimal size — coarsening
+// any tree can only merge more monomials), then each round re-optimizes
+// one tree at a time with the single-tree DP against the provenance
+// reduced by the other trees' current cuts. Every step keeps the bound
+// satisfied and never decreases the per-tree variable count, so the total
+// variable count is monotone and the procedure converges; rounds caps the
+// number of passes (DefaultForestRounds if <= 0).
+//
+// Reduction (abstraction.ApplyAny, which keeps the source's
+// representation and residency budget), indexing and the DP all stream
+// shard-at-a-time through the SetSource seam, so the same code serves
+// in-memory sets, spilling sharded sets and reloaded indexed sets.
 //
 // With workers > 1, each tree's reduction, signature indexing and DP
 // shard over the pool, but the adoption walk itself is the sequential
@@ -107,7 +65,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 	for i, t := range trees {
 		cuts[i] = t.RootCut()
 	}
-	coarsest, err := reduceSource(src, workers, cuts...)
+	coarsest, err := abstraction.ApplyAny(src, workers, cuts...)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +89,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 		changed := false
 		for i, t := range trees {
 			// Reduce the set by every other tree's current cut.
-			reduced, err := reduceSource(src, workers, othersOf(cuts, i)...)
+			reduced, err := abstraction.ApplyAny(src, workers, othersOf(cuts, i)...)
 			var res *Result
 			if err == nil {
 				res, err = DPSingleTreeSource(reduced, t, bound, workers)
@@ -152,7 +110,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 				newVars := res.Cuts[0].NumVars()
 				adopt := newVars > oldVars
 				if !adopt && newVars == oldVars {
-					old, err := reduceSource(reduced, workers, cuts[i])
+					old, err := abstraction.ApplyAny(reduced, workers, cuts[i])
 					if err != nil {
 						closeSource(reduced)
 						return nil, err
@@ -172,7 +130,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 		}
 	}
 
-	final, err := reduceSource(src, workers, cuts...)
+	final, err := abstraction.ApplyAny(src, workers, cuts...)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +141,7 @@ func ForestDescentSource(src polynomial.SetSource, trees abstraction.Forest, bou
 }
 
 // ExhaustiveForest enumerates every combination of cuts across the forest —
-// a testing oracle for ForestDescent on small inputs. It maximizes the total
+// a testing oracle for ForestDescentSource on small inputs. It maximizes the total
 // number of cut nodes subject to the bound, breaking ties toward smaller
 // size. The combination count is the product of per-tree cut counts and must
 // not exceed MaxExhaustiveCuts.
@@ -220,7 +178,7 @@ func ExhaustiveForest(set *polynomial.Set, trees abstraction.Forest, bound int) 
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(trees) {
-			applied := abstraction.Apply(set, combo...)
+			applied := abstraction.ApplyN(set, 1, combo...)
 			size := applied.Size()
 			if size < minSize {
 				minSize = size
@@ -257,5 +215,5 @@ func ExhaustiveForest(set *polynomial.Set, trees abstraction.Forest, bound int) 
 // SizeOfCuts returns the provenance size after applying the given cuts —
 // a convenience used by the demo CLI's "under the hood" view.
 func SizeOfCuts(set *polynomial.Set, cuts ...abstraction.Cut) int {
-	return abstraction.Apply(set, cuts...).Size()
+	return abstraction.ApplyN(set, 1, cuts...).Size()
 }

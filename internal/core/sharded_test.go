@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/cobra-prov/cobra/internal/abstraction"
 	"github.com/cobra-prov/cobra/internal/datagen/telephony"
+	"github.com/cobra-prov/cobra/internal/polyio"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 )
 
@@ -53,12 +56,12 @@ func TestDPSingleTreeShardedMatchesInMemory(t *testing.T) {
 	set, ss, budget := shardedFixture(t)
 	tree := telephony.PlansTree(set.Names)
 	bound := set.Size() / 2
-	want, err := DPSingleTree(set, tree, bound)
+	want, err := DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := DPSingleTreeSharded(ss, tree, bound, w)
+		got, err := DPSingleTreeSource(ss, tree, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -77,12 +80,12 @@ func TestForestDescentShardedMatchesInMemory(t *testing.T) {
 	set, ss, _ := shardedFixture(t)
 	forest := abstraction.Forest{telephony.PlansTree(set.Names), telephony.MonthsTree(set.Names, 12)}
 	bound := set.Size() / 4
-	want, err := ForestDescent(set, forest, bound, 0)
+	want, err := ForestDescentSource(set, forest, bound, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := ForestDescentSharded(ss, forest, bound, 0, w)
+		got, err := ForestDescentSource(ss, forest, bound, 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -100,15 +103,16 @@ func TestCompressShardedAppliedOutput(t *testing.T) {
 	tree := telephony.PlansTree(set.Names)
 	bound := set.Size() / 2
 	for _, w := range []int{1, 2, 8} {
-		res, err := CompressSharded(ss, abstraction.Forest{tree}, bound, w)
+		res, err := CompressSource(ss, abstraction.Forest{tree}, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		want := abstraction.Apply(set, res.Cuts...)
-		compressed, err := abstraction.ApplySharded(ss, w, res.Cuts...)
+		want := abstraction.ApplyN(set, 1, res.Cuts...)
+		applied, err := abstraction.ApplyAny(ss, w, res.Cuts...)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
+		compressed := applied.(*polynomial.ShardedSet)
 		got, err := compressed.Materialize()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -128,6 +132,51 @@ func TestCompressShardedAppliedOutput(t *testing.T) {
 	}
 }
 
+// TestApplyIndexedStaysOutOfCore: cuts applied to a reloaded (indexed v3)
+// set — the state an evicted out-of-core Dataset reloads into — must
+// stream into a budgeted out-of-core set, never an unbudgeted in-memory
+// one: forest descent reduces through this path, so after an Evict it
+// would otherwise break the residency bound.
+func TestApplyIndexedStaysOutOfCore(t *testing.T) {
+	set, ss, budget := shardedFixture(t)
+	path := filepath.Join(t.TempDir(), "set.v3")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = polyio.WriteSetStreamV3(f, ss, polyio.V3Options{Compress: true})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := polyio.OpenIndexedFile(path, set.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ix.SetShardOptions(ss.Options())
+	tree := telephony.PlansTree(set.Names)
+	for _, w := range []int{1, 2, 8} {
+		reduced, err := abstraction.ApplyAny(ix, w, tree.LeafCut())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		rs, ok := reduced.(*polynomial.ShardedSet)
+		if !ok {
+			t.Fatalf("workers=%d: applying cuts to an indexed set gave %T, want an out-of-core *polynomial.ShardedSet", w, reduced)
+		}
+		if rs.Size() != set.Size() || rs.SpilledShards() == 0 {
+			t.Fatalf("workers=%d: reduced set has %d monomials (want %d) and %d spilled shards", w, rs.Size(), set.Size(), rs.SpilledShards())
+		}
+		if peak := rs.PeakResidentMonomials(); peak > budget {
+			t.Fatalf("workers=%d: reduced peak resident %d exceeds budget %d", w, peak, budget)
+		}
+		rs.Close()
+	}
+}
+
 // TestBuildIndexShardedMultiVarError: the sharded scan must surface the
 // same MultiVarError the in-memory scan reports.
 func TestBuildIndexShardedMultiVarError(t *testing.T) {
@@ -141,7 +190,7 @@ func TestBuildIndexShardedMultiVarError(t *testing.T) {
 	}
 	defer ss.Close()
 	for _, w := range []int{1, 8} {
-		_, err := DPSingleTreeSharded(ss, tree, 10, w)
+		_, err := DPSingleTreeSource(ss, tree, 10, w)
 		var mv *MultiVarError
 		if !errors.As(err, &mv) {
 			t.Fatalf("workers=%d: want MultiVarError, got %v", w, err)
@@ -165,12 +214,12 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 		t.Fatalf("fixture: %d shards, %d mons", ss.NumShards(), ss.Size())
 	}
 	bound := set.Size() / 2
-	want, err := DPSingleTree(set, tree, bound)
+	want, err := DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := DPSingleTreeSharded(ss, tree, bound, w)
+		got, err := DPSingleTreeSource(ss, tree, bound, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -180,12 +229,12 @@ func TestCompressShardedLargeSingleShard(t *testing.T) {
 	}
 }
 
-func ExampleCompressSharded() {
+func ExampleCompressSource() {
 	names := polynomial.NewNames()
 	set := telephony.DirectProvenance(telephony.Config{Customers: 1000}, names)
 	ss, _ := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: set.Size() / 2})
 	defer ss.Close()
-	res, _ := CompressSharded(ss, abstraction.Forest{telephony.PlansTree(names)}, set.Size()/2, 4)
+	res, _ := CompressSource(ss, abstraction.Forest{telephony.PlansTree(names)}, set.Size()/2, 4)
 	fmt.Println(len(res.Cuts) == 1 && res.Size <= set.Size()/2)
 	// Output: true
 }

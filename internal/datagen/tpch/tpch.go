@@ -310,7 +310,7 @@ func instrumentLineitem(cat engine.Catalog, names *polynomial.Names, spec proven
 	if !ok {
 		return nil, fmt.Errorf("tpch: catalog has no lineitem")
 	}
-	inst, err := provenance.ParameterizeColumn(li, "l_extendedprice", []provenance.VarSpec{spec}, names)
+	inst, err := provenance.ParameterizeColumnN(li, "l_extendedprice", []provenance.VarSpec{spec}, names, 1)
 	if err != nil {
 		return nil, err
 	}

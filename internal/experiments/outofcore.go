@@ -37,27 +37,28 @@ func E14OutOfCore(cfg Config) (*Table, error) {
 	}
 
 	// In-memory baseline: the exact DP and its applied provenance.
-	want, err := core.DPSingleTree(set, tree, bound)
+	want, err := core.DPSingleTreeSource(set, tree, bound, 1)
 	if err != nil {
 		return nil, err
 	}
-	wantApplied := abstraction.Apply(set, want.Cuts...)
+	wantApplied := abstraction.ApplyN(set, 1, want.Cuts...)
 
 	for _, w := range []int{1, 2, 8} {
 		ss, err := polynomial.BuildSharded(set, polynomial.ShardOptions{MaxResidentMonomials: budget})
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.CompressSharded(ss, abstraction.Forest{tree}, bound, w)
+		res, err := core.CompressSource(ss, abstraction.Forest{tree}, bound, w)
 		if err != nil {
 			ss.Close()
 			return nil, err
 		}
-		compressed, err := abstraction.ApplySharded(ss, w, res.Cuts...)
+		applied, err := abstraction.ApplyAny(ss, w, res.Cuts...)
 		if err != nil {
 			ss.Close()
 			return nil, err
 		}
+		compressed := applied.(*polynomial.ShardedSet)
 		got, err := compressed.Materialize()
 		if err != nil {
 			ss.Close()

@@ -66,11 +66,11 @@ func E12Parallel(cfg Config) (*Table, error) {
 		set, tree := syntheticInstance(names, leaves, ctx)
 		bound := set.Size() / 2
 		var seqRes, parRes *core.Result
-		seqT, err := bestOf(func() (e error) { seqRes, e = core.DPSingleTreeN(set, tree, bound, 1); return })
+		seqT, err := bestOf(func() (e error) { seqRes, e = core.DPSingleTreeSource(set, tree, bound, 1); return })
 		if err != nil {
 			return nil, err
 		}
-		parT, err := bestOf(func() (e error) { parRes, e = core.DPSingleTreeN(set, tree, bound, workers); return })
+		parT, err := bestOf(func() (e error) { parRes, e = core.DPSingleTreeSource(set, tree, bound, workers); return })
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +85,11 @@ func E12Parallel(cfg Config) (*Table, error) {
 		forest := abstraction.Forest{telephony.PlansTree(names), telephony.MonthsTree(names, 12)}
 		bound := set.Size() / 4
 		var seqRes, parRes *core.Result
-		seqT, err := bestOf(func() (e error) { seqRes, e = core.ForestDescentN(set, forest, bound, 0, 1); return })
+		seqT, err := bestOf(func() (e error) { seqRes, e = core.ForestDescentSource(set, forest, bound, 0, 1); return })
 		if err != nil {
 			return nil, err
 		}
-		parT, err := bestOf(func() (e error) { parRes, e = core.ForestDescentN(set, forest, bound, 0, workers); return })
+		parT, err := bestOf(func() (e error) { parRes, e = core.ForestDescentSource(set, forest, bound, 0, workers); return })
 		if err != nil {
 			return nil, err
 		}

@@ -104,7 +104,7 @@ func E10Pipeline(cfg Config) (*Table, error) {
 	t.AddRow("instrument", time.Since(t0), fmt.Sprintf("%d symbolic cells", inst["Plans"].Len()))
 
 	t0 = time.Now()
-	set, err := provenance.Capture(telephony.RevenueQuery, inst, names, "revenue")
+	set, err := provenance.CaptureN(telephony.RevenueQuery, inst, names, "revenue", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func E10Pipeline(cfg Config) (*Table, error) {
 
 	tree := telephony.PlansTree(names)
 	t0 = time.Now()
-	res, err := core.DPSingleTreeN(set, tree, set.Size()/3, cfg.Workers)
+	res, err := core.DPSingleTreeSource(set, tree, set.Size()/3, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func E15StreamingCapture(cfg Config) (*Table, error) {
 	}
 
 	// Materializing baseline.
-	want, err := provenance.Capture(spjRevenueQuery, cat, names, "rev")
+	want, err := provenance.CaptureN(spjRevenueQuery, cat, names, "rev", 1)
 	if err != nil {
 		return nil, err
 	}

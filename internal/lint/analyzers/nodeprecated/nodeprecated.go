@@ -2,9 +2,8 @@
 // from inside the module. A "Deprecated:" doc marker is a promise to
 // external callers that the old surface keeps working; it is not a
 // license for the module's own code to keep using it. Internal callers
-// are exactly the ones we can migrate immediately — the four *Streamed
-// facades in cobra.go, for example, exist only for published callers,
-// and every internal use should go through Dataset instead.
+// are exactly the ones we can migrate immediately: deprecated surface
+// exists only for published callers.
 //
 // The analyzer resolves every identifier a package uses. If the
 // referenced object — function, method, type, variable, or constant —

@@ -1,9 +1,9 @@
 // Package nodepfix exercises the deprecated-reference checker against
-// both same-package declarations and the real deprecated facades in the
-// module root.
+// both same-package declarations and deprecated surface declared in
+// another module package.
 package nodepfix
 
-import cobra "github.com/cobra-prov/cobra"
+import "github.com/cobra-prov/cobra/internal/lint/analyzers/nodeprecated/nodepdep"
 
 // OldSum adds the slow way.
 //
@@ -52,11 +52,10 @@ func cleanCaller(xs []int) int {
 	return NewSum(xs)
 }
 
-// crossPackage references one of the real deprecated facades in
-// cobra.go: deprecation must be visible through export data.
-func crossPackage() error {
-	_, err := cobra.CompressStreamed(nil, nil, 2, cobra.Options{}) // want `use of deprecated CompressStreamed`
-	return err
+// crossPackage references deprecated surface of another module package:
+// deprecation must be visible through export data.
+func crossPackage() int {
+	return nodepdep.OldLimit // want `use of deprecated OldLimit: use Limit\.`
 }
 
 func justified(xs []int) int {

@@ -89,11 +89,12 @@ type IndexedSet struct {
 	mons   int
 	used   []polynomial.Var
 
-	// maxResident, when set, clamps the parallel-decode window so at most
-	// maxResident monomials of decoded-but-undelivered shards exist at
-	// once (matching the budget of the ShardedSet the stream was written
-	// from).
-	maxResident int
+	// opts are the shard options of the dataset the stream belongs to.
+	// Their MaxResidentMonomials, when set, clamps the parallel-decode
+	// window so at most that many monomials of decoded-but-undelivered
+	// shards exist at once; sets derived from this one (applied cuts)
+	// inherit them whole.
+	opts polynomial.ShardOptions
 
 	statMu       sync.Mutex
 	resident     int
@@ -215,10 +216,18 @@ func (ix *IndexedSet) Close() error {
 	return c.Close()
 }
 
-// SetResidencyBudget clamps the parallel-decode window so at most mons
-// monomials of decoded-but-undelivered shards are held at once (0 means
-// unbudgeted: the window is bounded by the worker count alone).
-func (ix *IndexedSet) SetResidencyBudget(mons int) { ix.maxResident = mons }
+// SetShardOptions records the shard options of the dataset the stream
+// belongs to. Their MaxResidentMonomials clamps the parallel-decode window
+// so at most that many monomials of decoded-but-undelivered shards are
+// held at once (0 means unbudgeted: the window is bounded by the worker
+// count alone), and sets derived from this one inherit them (see
+// Options).
+func (ix *IndexedSet) SetShardOptions(opts polynomial.ShardOptions) { ix.opts = opts }
+
+// Options returns the shard options set by SetShardOptions — the budget
+// and spill location a set derived from this one (e.g. by applying cuts)
+// streams into, as for a ShardedSet.
+func (ix *IndexedSet) Options() polynomial.ShardOptions { return ix.opts }
 
 // Namespace returns the target namespace.
 func (ix *IndexedSet) Namespace() *polynomial.Names { return ix.names }
@@ -349,7 +358,7 @@ func (ix *IndexedSet) ForEachShardParallel(workers int, fn func(i, firstPoly int
 	if workers > len(ix.shards) {
 		workers = len(ix.shards)
 	}
-	if workers > 1 && ix.maxResident > 0 {
+	if maxResident := ix.opts.MaxResidentMonomials; workers > 1 && maxResident > 0 {
 		maxMons := uint64(0)
 		for i := range ix.shards {
 			if ix.shards[i].mons > maxMons {
@@ -357,7 +366,7 @@ func (ix *IndexedSet) ForEachShardParallel(workers int, fn func(i, firstPoly int
 			}
 		}
 		if maxMons > 0 {
-			if w := ix.maxResident / int(maxMons); w < workers {
+			if w := maxResident / int(maxMons); w < workers {
 				workers = w
 			}
 		}

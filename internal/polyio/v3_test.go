@@ -606,7 +606,7 @@ func TestV3ResidencyBudget(t *testing.T) {
 		}
 	}
 	budget := 3 * maxShard
-	ix.SetResidencyBudget(budget)
+	ix.SetShardOptions(polynomial.ShardOptions{MaxResidentMonomials: budget})
 	seen := 0
 	if err := ix.ForEachShardParallel(8, func(_, _ int, s *polynomial.Set) error {
 		seen += s.Size()

@@ -15,7 +15,7 @@ import "context"
 // as a single shard, so only multi-shard (out-of-core) sources cancel
 // mid-pass. Stages that dispatch on the concrete source representation
 // must dispatch on Unwrap(src) so wrapping never changes which algorithm
-// variant runs (see core.reduceSource) — results are therefore identical
+// variant runs (see abstraction.ApplyAny) — results are therefore identical
 // with and without a wrapper; only early termination differs.
 type ContextSource struct {
 	ctx context.Context

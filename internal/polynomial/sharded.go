@@ -435,6 +435,7 @@ func (ss *ShardedSet) spillShard(sh *shard) error {
 type ShardBuilder struct {
 	ss        *ShardedSet
 	cur       *Set
+	curMons   int // monomials in cur, kept running so Add never rescans it
 	lastPolys int // previous shard's polynomial count, to pre-size the next
 	done      bool
 }
@@ -476,10 +477,11 @@ func (b *ShardBuilder) Add(key string, p Polynomial) error {
 	if err := b.cur.Add(key, p); err != nil {
 		return err
 	}
+	b.curMons += len(p.Mons)
 	b.ss.size += len(p.Mons)
 	b.ss.trackResident(len(p.Mons))
 	target := b.ss.opts.TargetMonomials
-	if b.cur.Size() >= target || b.cur.Len() >= target {
+	if b.curMons >= target || b.cur.Len() >= target {
 		return b.seal()
 	}
 	return nil
@@ -502,7 +504,7 @@ func (b *ShardBuilder) seal() error {
 	if b.cur == nil || b.cur.Len() == 0 {
 		return nil
 	}
-	sh := &shard{set: b.cur, polys: b.cur.Len(), mons: b.cur.Size(), used: b.cur.UsedVars()}
+	sh := &shard{set: b.cur, polys: b.cur.Len(), mons: b.curMons, used: b.cur.UsedVars()}
 	b.lastPolys = sh.polys
 	b.ss.shards = append(b.ss.shards, sh)
 	b.ss.polyOff = append(b.ss.polyOff, b.ss.polyOff[len(b.ss.polyOff)-1]+sh.polys)
@@ -511,6 +513,7 @@ func (b *ShardBuilder) seal() error {
 	b.ss.usedVars = nil
 	b.ss.statMu.Unlock()
 	b.cur = nil
+	b.curMons = 0
 	return b.ss.spillOver(0)
 }
 

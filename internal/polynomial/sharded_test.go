@@ -186,3 +186,24 @@ func TestShardedEmptyAndZeroPolys(t *testing.T) {
 		t.Fatalf("zero-poly round trip: %v", back.Keys)
 	}
 }
+
+// BenchmarkShardBuilderAdd measures one ShardBuilder.Add of a
+// one-monomial polynomial at a small and a large shard target. The
+// per-Add cost must not grow with the target: a scan of the open shard
+// on every Add makes filling a shard quadratic in its size.
+func BenchmarkShardBuilderAdd(b *testing.B) {
+	names := NewNames()
+	p := New(Mono(2, T(names.Var("x"))))
+	for _, target := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("target=%d", target), func(b *testing.B) {
+			sb := NewShardBuilder(names, ShardOptions{TargetMonomials: target})
+			defer sb.Discard()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sb.Add("k", p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,54 +1,30 @@
 package provenance
 
 import (
-	"strings"
-
 	"github.com/cobra-prov/cobra/internal/engine"
-	"github.com/cobra-prov/cobra/internal/parallel"
 	"github.com/cobra-prov/cobra/internal/polynomial"
 	"github.com/cobra-prov/cobra/internal/semiring"
 	"github.com/cobra-prov/cobra/internal/sql"
 )
 
-// CaptureLineage runs a query over tuple-annotated relations (see
-// AnnotateTuples) and returns one polynomial per output row: the row's N[X]
-// annotation — its how-provenance in the semiring model (joint tuples
-// multiply, alternative derivations add). The key of each polynomial is the
-// row's rendered values.
+// CaptureLineageN runs a query over tuple-annotated relations (see
+// AnnotateTuplesN) and returns one polynomial per output row: the row's
+// N[X] annotation — its how-provenance in the semiring model (joint tuples
+// multiply, alternative derivations add). The key of each polynomial is
+// the row's rendered values joined by "|".
 //
-// This complements Capture, which extracts value-level (aggregation)
-// provenance; CaptureLineage extracts tuple-level provenance and works for
-// any query the engine supports, including non-aggregate SPJ queries.
-func CaptureLineage(query string, cat engine.Catalog, names *polynomial.Names) (*polynomial.Set, error) {
-	return CaptureLineageN(query, cat, names, 1)
-}
-
-// CaptureLineageN is CaptureLineage using up to workers goroutines for
-// query execution (sql.RunN) and row-key rendering; the set is assembled in
-// row order and is bit-identical to the sequential one for any worker count.
+// This complements CaptureN, which extracts value-level (aggregation)
+// provenance; CaptureLineageN extracts tuple-level provenance and works for
+// any query the engine supports, including non-aggregate SPJ queries. The
+// query executes through sql.RunN and row keys render across up to workers
+// goroutines; the set is assembled in row order and is bit-identical for
+// every worker count.
 func CaptureLineageN(query string, cat engine.Catalog, names *polynomial.Names, workers int) (*polynomial.Set, error) {
 	out, err := sql.RunN(query, cat, workers)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, len(out.Rows))
-	parallel.Chunks(workers, len(out.Rows), func(_, lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			row := out.Rows[ri]
-			parts := make([]string, len(row.Values))
-			for i, v := range row.Values {
-				parts[i] = v.String()
-			}
-			keys[ri] = strings.Join(parts, "|")
-		}
-	})
-	set := polynomial.NewSet(names)
-	for ri, row := range out.Rows {
-		if err := set.Add(keys[ri], row.Ann); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
+	return rowsToSet(out.Rows, names, -1, lineageRow, workers)
 }
 
 // Derivable evaluates a lineage polynomial in the Boolean semiring: given

@@ -80,69 +80,14 @@ func (s VarSpec) AppendVarName(dst []byte, rel *relation.Relation, row relation.
 	return dst, nil
 }
 
-// ParameterizeColumn returns a copy of rel in which every cell of the target
-// column is multiplied by the product of the variables derived from specs —
-// cell-level instrumentation. The target column must be numeric.
-func ParameterizeColumn(rel *relation.Relation, target string, specs []VarSpec, names *polynomial.Names) (*relation.Relation, error) {
-	idx, err := rel.Schema.Index(target)
-	if err != nil {
-		return nil, err
-	}
-	out := rel.Clone()
-	// Cell polynomials are built directly into column-wide slabs: one term
-	// vector and one monomial array shared by every cell, so instrumenting
-	// a row is allocation-free (the old per-cell Mono/New/Mul chain was
-	// the bulk of E8's allocation profile). The result is value-identical
-	// to Mul(base, New(Mono(1, terms...))): a single canonical monomial
-	// with the cell's constant as coefficient.
-	termSlab := make([]polynomial.Term, 0, len(out.Rows)*len(specs))
-	monSlab := make([]polynomial.Monomial, 0, len(out.Rows))
-	var nameBuf []byte
-	for ri := range out.Rows {
-		row := &out.Rows[ri]
-		v := row.Values[idx]
-		if v.IsNull() {
-			continue
-		}
-		c, concrete := v.AsFloat()
-		if !concrete && v.Kind != relation.KindPoly {
-			return nil, fmt.Errorf("provenance: column %q of %s is not numeric (%s)", target, rel.Name, v.Kind)
-		}
-		toff := len(termSlab)
-		for si := range specs {
-			b, err := specs[si].AppendVarName(nameBuf[:0], out, *row)
-			if err != nil {
-				return nil, err
-			}
-			nameBuf = b
-			termSlab = append(termSlab, polynomial.T(names.VarBytes(b)))
-		}
-		terms := termSlab[toff:len(termSlab):len(termSlab)]
-		if !concrete {
-			// Symbolic cell: general polynomial product.
-			row.Values[idx] = relation.Poly(polynomial.Mul(v.P, polynomial.New(polynomial.MonoIn(1, terms))))
-			continue
-		}
-		if c == 0 {
-			row.Values[idx] = relation.Poly(polynomial.Polynomial{})
-			continue
-		}
-		moff := len(monSlab)
-		monSlab = append(monSlab, polynomial.MonoIn(c, terms))
-		row.Values[idx] = relation.Poly(polynomial.Polynomial{Mons: monSlab[moff : moff+1 : moff+1]})
-	}
-	return out, nil
-}
-
-// ParameterizeColumnN is ParameterizeColumn using up to workers goroutines.
-// Variable-name derivation and the cell multiplications shard across the
-// pool; interning stays sequential in row order, so the allocated Vars —
-// and therefore every resulting polynomial — are bit-identical to the
-// sequential path for any worker count.
+// ParameterizeColumnN returns a copy of rel in which every cell of the
+// target column is multiplied by the product of the variables derived from
+// specs — cell-level instrumentation. The target column must be numeric.
+// Variable-name derivation and the symbolic-cell multiplications shard over
+// up to workers goroutines; interning stays sequential in row order, so the
+// allocated Vars — and therefore every resulting polynomial — are
+// bit-identical for every worker count.
 func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec, names *polynomial.Names, workers int) (*relation.Relation, error) {
-	if parallel.Normalize(workers) <= 1 {
-		return ParameterizeColumn(rel, target, specs, names)
-	}
 	idx, err := rel.Schema.Index(target)
 	if err != nil {
 		return nil, err
@@ -184,8 +129,8 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 				off := len(slab)
 				b, err := specs[si].AppendVarName(slab, out, *row)
 				if err != nil {
-					// The row's already-derived prefix stays in nameBytes:
-					// the sequential path interns it before this error.
+					// The row's already-derived prefix stays in nameBytes
+					// and is interned before the error is returned.
 					errs[shard] = parallel.RowErr{Err: err, Row: ri}
 					return
 				}
@@ -196,9 +141,11 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 	})
 
 	// Phase 2: intern sequentially in row order — Var allocation order is
-	// identical to the sequential path — and finish concrete cells directly
-	// into column-wide slabs, exactly as ParameterizeColumn does. An error
-	// aborts at the first failing row, leaving earlier rows interned.
+	// independent of the worker count — and finish concrete cells directly
+	// into column-wide slabs: one term vector and one monomial array shared
+	// by every cell, so a concrete cell is a single canonical monomial with
+	// the cell's constant as coefficient, allocated from the slabs. An
+	// error aborts at the first failing row, leaving earlier rows interned.
 	firstBad := parallel.FirstRowErr(errs)
 	limit := n
 	if firstBad.Err != nil {
@@ -228,8 +175,8 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 	}
 	if firstBad.Err != nil {
 		// The failing row's already-derived prefix (specs before the bad
-		// one) is interned too, leaving names in the exact state the
-		// sequential path leaves it in.
+		// one) is interned too, so names ends in the same state for every
+		// worker count.
 		for si := 0; si < ns; si++ {
 			if b := nameBytes[firstBad.Row*ns+si]; b != nil {
 				names.VarBytes(b)
@@ -271,45 +218,19 @@ func cloneRelationN(rel *relation.Relation, workers int) *relation.Relation {
 	return out
 }
 
-// AnnotateTuples returns a copy of rel in which every tuple's annotation is
-// a fresh variable derived from spec — tuple-level instrumentation in the
-// N[X] semiring.
-func AnnotateTuples(rel *relation.Relation, spec VarSpec, names *polynomial.Names) (*relation.Relation, error) {
-	out := rel.Clone()
-	// Annotation polynomials are carved from relation-wide slabs: each row's
-	// annotation is VarPoly(v), i.e. one monomial 1·v, so the whole column of
-	// annotations needs just two allocations.
-	n := len(out.Rows)
-	monSlab := make([]polynomial.Monomial, n)
-	termSlab := make([]polynomial.Term, n)
-	var nameBuf []byte
-	for ri := range out.Rows {
-		b, err := spec.AppendVarName(nameBuf[:0], out, out.Rows[ri])
-		if err != nil {
-			return nil, err
-		}
-		nameBuf = b
-		termSlab[ri] = polynomial.T(names.VarBytes(b))
-		monSlab[ri] = polynomial.Monomial{Coef: 1, Terms: termSlab[ri : ri+1 : ri+1]}
-		out.Rows[ri].Ann = polynomial.Polynomial{Mons: monSlab[ri : ri+1 : ri+1]}
-	}
-	return out, nil
-}
-
-// AnnotateTuplesN is AnnotateTuples using up to workers goroutines for the
-// clone and the variable-name derivation; interning stays sequential in row
-// order, so the instrumented relation is bit-identical to the sequential
-// path for any worker count.
+// AnnotateTuplesN returns a copy of rel in which every tuple's annotation
+// is a fresh variable derived from spec — tuple-level instrumentation in
+// the N[X] semiring. The clone and the variable-name derivation shard over
+// up to workers goroutines; interning stays sequential in row order, so
+// the instrumented relation is bit-identical for every worker count.
 func AnnotateTuplesN(rel *relation.Relation, spec VarSpec, names *polynomial.Names, workers int) (*relation.Relation, error) {
-	if parallel.Normalize(workers) <= 1 {
-		return AnnotateTuples(rel, spec, names)
-	}
 	out := cloneRelationN(rel, workers)
 	n := len(out.Rows)
 	// Names render into per-shard byte slabs (windows in nameBytes; an
 	// append that moves a slab leaves earlier windows pointing into the old
 	// backing, which is never rewritten). Interning and annotation stay
-	// sequential, carving from the same slabs AnnotateTuples uses.
+	// sequential; each annotation is VarPoly(v), one monomial 1·v carved
+	// from two relation-wide slabs.
 	nameBytes := make([][]byte, n)
 	errs := make([]parallel.RowErr, parallel.Normalize(workers))
 	parallel.Chunks(workers, n, func(shard, lo, hi int) {
@@ -343,19 +264,14 @@ func AnnotateTuplesN(rel *relation.Relation, spec VarSpec, names *polynomial.Nam
 	return out, nil
 }
 
-// Capture runs a SQL query over the catalog and extracts its provenance
+// CaptureN runs a SQL query over the catalog and extracts its provenance
 // polynomials: one polynomial per output row, read from valueCol (or, if
 // valueCol is empty, the unique symbolic column); the group key is the
 // concatenation of the remaining column values. The returned Set shares
-// names.
-func Capture(query string, cat engine.Catalog, names *polynomial.Names, valueCol string) (*polynomial.Set, error) {
-	return CaptureN(query, cat, names, valueCol, 1)
-}
-
-// CaptureN is Capture using up to workers goroutines: the query executes
-// through the engine's partition-parallel path (sql.RunN) and the result
-// polynomials are collected across the pool (FromRelationN). The captured
-// set is bit-identical to the sequential one for any worker count.
+// names. The query executes through the engine's partition-parallel path
+// (sql.RunN) and the result polynomials are collected across up to
+// workers goroutines (FromRelationN); the captured set is bit-identical
+// for every worker count.
 func CaptureN(query string, cat engine.Catalog, names *polynomial.Names, valueCol string, workers int) (*polynomial.Set, error) {
 	out, err := sql.RunN(query, cat, workers)
 	if err != nil {
@@ -364,43 +280,33 @@ func CaptureN(query string, cat engine.Catalog, names *polynomial.Names, valueCo
 	return FromRelationN(out, names, valueCol, workers)
 }
 
-// FromRelation extracts a polynomial Set from a materialized query result.
-func FromRelation(out *relation.Relation, names *polynomial.Names, valueCol string) (*polynomial.Set, error) {
-	valIdx, err := resolveValueCol(out, valueCol)
+// FromRelationN extracts a polynomial Set from a materialized query
+// result, sharding the per-row group-key rendering and polynomial
+// extraction over up to workers goroutines; the set is assembled
+// sequentially in row order, so it is identical for every worker count.
+func FromRelationN(out *relation.Relation, names *polynomial.Names, valueCol string, workers int) (*polynomial.Set, error) {
+	valIdx, err := resolveValueCol(out.Schema, out.Rows, valueCol)
 	if err != nil {
 		return nil, err
 	}
-	return fromRelationAt(out, names, valIdx)
+	return rowsToSet(out.Rows, names, valIdx, captureRow, workers)
 }
 
-// FromRelationN is FromRelation sharding the per-row group-key rendering
-// and polynomial extraction over up to workers goroutines; the set is
-// assembled sequentially in row order, so it is identical to FromRelation's.
-func FromRelationN(out *relation.Relation, names *polynomial.Names, valueCol string, workers int) (*polynomial.Set, error) {
-	valIdx, err := resolveValueCol(out, valueCol)
-	if err != nil {
-		return nil, err
-	}
-	// sinkRows renders across the pool and commits in row order; the
-	// partially filled set is discarded on error, so the observable
-	// behavior matches the sequential path exactly.
+// rowsToSet renders rows into a fresh Set through sinkRows, which renders
+// across the pool and commits in row order; the partially filled set is
+// discarded on error.
+func rowsToSet(rows []relation.Tuple, names *polynomial.Names, valIdx int, render func(relation.Tuple, int, []byte) ([]byte, polynomial.Polynomial, error), workers int) (*polynomial.Set, error) {
 	set := polynomial.NewSet(names)
-	if err := sinkRows(out.Rows, workers, valIdx, captureRow, set); err != nil {
+	if err := sinkRows(rows, workers, valIdx, render, set); err != nil {
 		return nil, err
 	}
 	return set, nil
 }
 
 // resolveValueCol finds the polynomial column: by name if given, otherwise
-// the unique symbolic column.
-func resolveValueCol(out *relation.Relation, valueCol string) (int, error) {
-	return resolveValueColIn(out.Schema, out.Rows, valueCol)
-}
-
-// resolveValueColIn is resolveValueCol over an explicit schema and row
-// sample — shared with the streaming capture path, which resolves from
-// its first buffered batch instead of a materialized relation.
-func resolveValueColIn(schema *relation.Schema, rows []relation.Tuple, valueCol string) (int, error) {
+// the unique symbolic column among rows — a whole materialized result, or
+// the streaming capture path's first buffered batch.
+func resolveValueCol(schema *relation.Schema, rows []relation.Tuple, valueCol string) (int, error) {
 	if valueCol != "" {
 		return schema.Index(valueCol)
 	}
@@ -449,23 +355,6 @@ func captureRow(row relation.Tuple, valIdx int, buf []byte) ([]byte, polynomial.
 	return buf, p, nil
 }
 
-func fromRelationAt(out *relation.Relation, names *polynomial.Names, valIdx int) (*polynomial.Set, error) {
-	set := polynomial.NewSet(names)
-	var buf []byte
-	for _, row := range out.Rows {
-		b, p, err := captureRow(row, valIdx, buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		buf = b
-		//cobra:hotalloc the set retains the key: one string per captured row is the data itself
-		if err := set.Add(string(b), p); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
-}
-
 // Concretize evaluates every symbolic cell of every relation under the
 // assignment, yielding a concrete catalog — "replacing the variables with
 // the corresponding values in the input" so the query can be re-executed.
@@ -509,11 +398,11 @@ func CheckCommutation(query string, cat engine.Catalog, names *polynomial.Names,
 	if err != nil {
 		return CommutationReport{}, err
 	}
-	valIdx, err := resolveValueCol(symOut, valueCol)
+	valIdx, err := resolveValueCol(symOut.Schema, symOut.Rows, valueCol)
 	if err != nil {
 		return CommutationReport{}, err
 	}
-	set, err := fromRelationAt(symOut, names, valIdx)
+	set, err := rowsToSet(symOut.Rows, names, valIdx, captureRow, 1)
 	if err != nil {
 		return CommutationReport{}, err
 	}
@@ -527,7 +416,7 @@ func CheckCommutation(query string, cat engine.Catalog, names *polynomial.Names,
 		return CommutationReport{}, err
 	}
 	// After concretization the value column is numeric; extract positionally.
-	rerunSet, err := fromRelationAt(rerun, names, valIdx)
+	rerunSet, err := rowsToSet(rerun.Rows, names, valIdx, captureRow, 1)
 	if err != nil {
 		return CommutationReport{}, err
 	}

@@ -72,7 +72,7 @@ func TestParameterizeColumn(t *testing.T) {
 	rel.Append(relation.Str("A"), relation.Float(0.4))
 	rel.Append(relation.Str("E"), relation.Float(0.05))
 
-	out, err := ParameterizeColumn(rel, "Price", []VarSpec{{Prefix: "p_", Columns: []string{"Plan"}}}, names)
+	out, err := ParameterizeColumnN(rel, "Price", []VarSpec{{Prefix: "p_", Columns: []string{"Plan"}}}, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestParameterizeColumn(t *testing.T) {
 		t.Fatalf("cell = %s", out.Rows[0].Values[1].Format(names))
 	}
 	// Parameterizing a string column must fail.
-	if _, err := ParameterizeColumn(rel, "Plan", nil, names); err == nil {
+	if _, err := ParameterizeColumnN(rel, "Plan", nil, names, 1); err == nil {
 		t.Fatal("non-numeric target should error")
 	}
 }
@@ -96,7 +96,7 @@ func TestAnnotateTuples(t *testing.T) {
 		relation.Column{Name: "id", Kind: relation.KindInt},
 	))
 	rel.Append(relation.Int(7))
-	out, err := AnnotateTuples(rel, VarSpec{Prefix: "t", Columns: []string{"id"}}, names)
+	out, err := AnnotateTuplesN(rel, VarSpec{Prefix: "t", Columns: []string{"id"}}, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCaptureRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Capture(telephony.RevenueQuery, cat, names, "revenue")
+	set, err := CaptureN(telephony.RevenueQuery, cat, names, "revenue", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCaptureAutoDetectsValueColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Capture(telephony.RevenueQuery, cat, names, "")
+	set, err := CaptureN(telephony.RevenueQuery, cat, names, "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestCaptureAutoDetectsValueColumn(t *testing.T) {
 func TestCaptureErrors(t *testing.T) {
 	names := polynomial.NewNames()
 	cat := telephony.Figure1DB() // concrete: no symbolic column
-	if _, err := Capture(telephony.RevenueQuery, cat, names, ""); err == nil {
+	if _, err := CaptureN(telephony.RevenueQuery, cat, names, "", 1); err == nil {
 		t.Fatal("no symbolic column should error")
 	}
-	if _, err := Capture("SELECT Zip FROM Cust", cat, names, "nope"); err == nil {
+	if _, err := CaptureN("SELECT Zip FROM Cust", cat, names, "nope", 1); err == nil {
 		t.Fatal("unknown value column should error")
 	}
-	if _, err := Capture("not sql", cat, names, ""); err == nil {
+	if _, err := CaptureN("not sql", cat, names, "", 1); err == nil {
 		t.Fatal("parse error should propagate")
 	}
 }

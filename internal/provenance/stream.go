@@ -27,9 +27,9 @@ const captureBatchRows = 4096
 
 // CaptureStream runs a SQL query over the catalog and streams its
 // provenance polynomials into sink row-at-a-time — the non-materializing
-// counterpart of Capture. The sink must share the namespace the catalog
+// counterpart of CaptureN. The sink must share the namespace the catalog
 // was instrumented under. Keys, polynomials and their order are exactly
-// Capture's for every worker count: the plan executes through the
+// CaptureN's for every worker count: the plan executes through the
 // sequential Volcano schedule (bit-identical to RunN by the engine's
 // determinism guarantee), rendering within a batch shards over up to
 // workers goroutines, and sink.Add is called sequentially in row order —
@@ -39,10 +39,10 @@ const captureBatchRows = 4096
 // If valueCol is empty, the symbolic column is resolved from the first
 // buffered batch (up to captureBatchRows rows); a result whose symbolic
 // column is NULL-or-numeric for the entire first batch needs an explicit
-// valueCol, where Capture would have scanned the whole materialized
+// valueCol, where CaptureN would have scanned the whole materialized
 // result. Ambiguity is still detected across the whole stream: a second
 // symbolic column appearing in any later batch fails with the same
-// "multiple symbolic columns" error Capture reports. On error the sink
+// "multiple symbolic columns" error CaptureN reports. On error the sink
 // may have received a prefix of the rows; callers building a ShardedSet
 // should discard the partial builder.
 func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polynomial.SetSink, workers int) error {
@@ -69,7 +69,7 @@ func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polyn
 			return nil
 		}
 		if valIdx < 0 {
-			idx, rerr := resolveValueColIn(it.Schema(), batch, "")
+			idx, rerr := resolveValueCol(it.Schema(), batch, "")
 			if rerr != nil {
 				return rerr
 			}
@@ -114,7 +114,7 @@ func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polyn
 	if valIdx < 0 && !sawRows {
 		// Zero result rows and no explicit column: report the same error
 		// the materialized resolver does.
-		_, err := resolveValueColIn(it.Schema(), nil, "")
+		_, err := resolveValueCol(it.Schema(), nil, "")
 		return err
 	}
 	return nil
@@ -122,7 +122,7 @@ func CaptureStream(query string, cat engine.Catalog, valueCol string, sink polyn
 
 // CaptureLineageStream runs a query over tuple-annotated relations and
 // streams one lineage polynomial per output row into sink — the
-// non-materializing counterpart of CaptureLineage, with the same key
+// non-materializing counterpart of CaptureLineageN, with the same key
 // rendering (all column values joined by "|") and the same row order for
 // every worker count.
 func CaptureLineageStream(query string, cat engine.Catalog, sink polynomial.SetSink, workers int) error {

@@ -38,7 +38,7 @@ func TestCaptureStreamMatchesCapture(t *testing.T) {
 				}
 				valueCol = "revenue"
 			}
-			want, err := Capture(query, cat, names, valueCol)
+			want, err := CaptureN(query, cat, names, valueCol, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestCaptureStreamToBuilderBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Capture(spjQuery, cat, names, "rev")
+	want, err := CaptureN(spjQuery, cat, names, "rev", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestCaptureStreamToBuilderBounded(t *testing.T) {
 func TestCaptureLineageStreamMatchesCaptureLineage(t *testing.T) {
 	names := polynomial.NewNames()
 	cat := telephony.Generate(telephony.Config{Customers: 200})
-	cust, err := AnnotateTuples(cat["Cust"], VarSpec{Prefix: "c", Columns: []string{"ID"}}, names)
+	cust, err := AnnotateTuplesN(cat["Cust"], VarSpec{Prefix: "c", Columns: []string{"ID"}}, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat["Cust"] = cust
 	query := "SELECT Cust.Zip, Calls.Mo FROM Cust, Calls WHERE Cust.ID = Calls.CID AND Calls.Dur > 900"
-	want, err := CaptureLineage(query, cat, names)
+	want, err := CaptureLineageN(query, cat, names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCaptureStreamLateSecondSymbolicColumn(t *testing.T) {
 	query := "SELECT T.A AS a, T.B AS b FROM T"
 
 	// The materialized resolver refuses.
-	if _, err := Capture(query, cat, names, ""); err == nil ||
+	if _, err := CaptureN(query, cat, names, "", 1); err == nil ||
 		!strings.Contains(err.Error(), "multiple symbolic columns") {
 		t.Fatalf("Capture: want ambiguity error, got %v", err)
 	}

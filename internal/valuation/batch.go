@@ -4,21 +4,17 @@ import (
 	"github.com/cobra-prov/cobra/internal/parallel"
 )
 
-// EvalBatch evaluates the program under many assignments — the multi-analyst
-// workload the paper motivates compression with ("applying valuation may be
-// performed by multiple analysts"). Results are returned as one row per
-// assignment; the out buffer is reused when it has capacity.
-func (p *Program) EvalBatch(assignments []*Assignment, out [][]float64) [][]float64 {
-	return p.EvalBatchN(assignments, out, 1)
-}
-
-// EvalBatchN is EvalBatch distributed over up to workers goroutines. The
-// scenarios are chunked into contiguous ranges, one dense valuation arena
-// per worker (rebuilt per assignment: most scenario assignments are sparse,
-// so re-filling beats allocating), and each row is written to its own output
-// slot, so the result rows are bit-identical to EvalBatch's for every worker
-// count. workers <= 1 runs sequentially. The assignments must not be mutated
-// concurrently with the call.
+// EvalBatchN evaluates the program under many assignments — the
+// multi-analyst workload the paper motivates compression with ("applying
+// valuation may be performed by multiple analysts") — distributed over up
+// to workers goroutines. Results are returned as one row per assignment;
+// the out buffer is reused when it has capacity. The scenarios are chunked
+// into contiguous ranges, one dense valuation arena per worker (rebuilt
+// per assignment: most scenario assignments are sparse, so re-filling
+// beats allocating), and each row is written to its own output slot, so
+// the rows are bit-identical to evaluating each assignment alone, for
+// every worker count. The assignments must not be mutated concurrently
+// with the call.
 func (p *Program) EvalBatchN(assignments []*Assignment, out [][]float64, workers int) [][]float64 {
 	if cap(out) >= len(assignments) {
 		out = out[:len(assignments)]

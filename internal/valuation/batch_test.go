@@ -35,7 +35,7 @@ func TestEvalBatchMatchesSingle(t *testing.T) {
 		batch = append(batch, a)
 	}
 
-	got := prog.EvalBatch(batch, nil)
+	got := prog.EvalBatchN(batch, nil, 1)
 	if len(got) != len(batch) {
 		t.Fatalf("rows = %d", len(got))
 	}
@@ -49,7 +49,7 @@ func TestEvalBatchMatchesSingle(t *testing.T) {
 	}
 
 	// Buffer reuse.
-	again := prog.EvalBatch(batch, got)
+	again := prog.EvalBatchN(batch, got, 1)
 	for i := range again {
 		for j := range again[i] {
 			if again[i][j] != got[i][j] {
@@ -111,7 +111,7 @@ func TestEvalBatchEmpty(t *testing.T) {
 	set := polynomial.NewSet(names)
 	set.Add("g", polynomial.MustParse("x", names))
 	prog := Compile(set)
-	if out := prog.EvalBatch(nil, nil); len(out) != 0 {
+	if out := prog.EvalBatchN(nil, nil, 1); len(out) != 0 {
 		t.Fatalf("expected empty, got %v", out)
 	}
 }

@@ -36,7 +36,9 @@ func newJobs() *jobs {
 }
 
 // start registers a running job and spawns fn; fn's returns become the
-// job's final state. wg tracks the goroutine for graceful shutdown.
+// job's final state, and a panic in fn (including one re-raised from a
+// worker pool) fails the job with the panic text instead of taking the
+// daemon down. wg tracks the goroutine for graceful shutdown.
 func (js *jobs) start(wg *sync.WaitGroup, fn func() (dataset string, result *CompressResult, err error)) string {
 	js.mu.Lock()
 	js.seq++
@@ -47,7 +49,7 @@ func (js *jobs) start(wg *sync.WaitGroup, fn func() (dataset string, result *Com
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		dataset, result, err := fn()
+		dataset, result, err := runJob(fn)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		if err != nil {
@@ -60,6 +62,16 @@ func (js *jobs) start(wg *sync.WaitGroup, fn func() (dataset string, result *Com
 		j.result = result
 	}()
 	return j.id
+}
+
+// runJob calls fn, turning a panic into an error.
+func runJob(fn func() (string, *CompressResult, error)) (dataset string, result *CompressResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("job panicked: %v", p)
+		}
+	}()
+	return fn()
 }
 
 // info snapshots a job's status.

@@ -159,10 +159,22 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes bounds every request body. The largest legitimate
+// bodies are dataset registrations carrying provenance text inline;
+// anything past the bound is refused with 413 instead of being buffered.
+const maxRequestBytes = 16 << 20
+
+// decodeJSON decodes the request body into v, answering 400 for a
+// malformed body and 413 for one longer than maxRequestBytes.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}
