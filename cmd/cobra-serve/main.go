@@ -30,6 +30,16 @@ import (
 	"github.com/cobra-prov/cobra/serve"
 )
 
+// Connection timeouts. A client must finish sending request headers
+// within readHeaderTimeout, and an idle keep-alive connection is closed
+// after idleTimeout, so stalled or abandoned connections cannot pile up.
+// Bodies and responses are not bounded: scenario batches and frontier
+// sweeps may legitimately take long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -67,10 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	httpSrv := newHTTPServer(ctx, srv.Handler())
 
 	fmt.Fprintf(stdout, "cobra-serve listening on %s\n", ln.Addr())
 	if ready != nil {
@@ -97,4 +104,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready fun
 		return err
 	}
 	return nil
+}
+
+// newHTTPServer wraps h in the daemon's http.Server: requests run on ctx,
+// and the connection timeouts above apply.
+func newHTTPServer(ctx context.Context, h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

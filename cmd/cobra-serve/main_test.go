@@ -67,3 +67,20 @@ func TestRunBadFlags(t *testing.T) {
 		t.Fatal("expected flag error")
 	}
 }
+
+// TestHTTPServerTimeouts: the daemon's server bounds header reads and idle
+// keep-alive connections, and serves on the given context.
+func TestHTTPServerTimeouts(t *testing.T) {
+	type ctxKey struct{}
+	ctx := context.WithValue(context.Background(), ctxKey{}, "daemon")
+	srv := newHTTPServer(ctx, http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.BaseContext == nil || srv.BaseContext(nil).Value(ctxKey{}) != "daemon" {
+		t.Fatal("BaseContext does not return the daemon's context")
+	}
+}

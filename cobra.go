@@ -82,7 +82,8 @@ type (
 	Schema = relation.Schema
 	// Column is one attribute of a schema.
 	Column = relation.Column
-	// Value is a dynamically typed cell value (possibly symbolic).
+	// Value is a dynamically typed cell value (possibly symbolic), read
+	// through its Int, Float, Bool and Poly accessors and its S field.
 	Value = relation.Value
 	// VarSpec derives provenance variable names from row values.
 	VarSpec = provenance.VarSpec

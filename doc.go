@@ -295,6 +295,29 @@
 // next Next or Close, so buffering consumers copy, and annotations are
 // immutable once attached.
 //
+// # Relation values
+//
+// Every relation cell is a Value (internal/relation.Value, exported as
+// cobra.Value) of 40 bytes: a Kind, one 8-byte word shared by the
+// numeric kinds (an int64's bits, math.Float64bits, or 0/1 for a bool),
+// the string S, and a pointer to the polynomial of a symbolic cell. Only
+// one payload is live per kind, so nothing is stored twice. Payloads are
+// read through accessors — Int, Float, Bool, Poly, each returning its
+// type's zero value for any other kind — while AsFloat and AsPoly convert
+// across the numeric kinds as before; constructors (Int, Float, Str,
+// Bool, Poly, Null) are unchanged. The Value struct no longer has the
+// exported I, F, B and P fields. Key, AppendString, Compare, Equal,
+// AsFloat and AsPoly return exactly what they returned with the older
+// 72-byte layout, so group-by and join hashing and their output order
+// are unchanged (a golden test pins the bytes for edge values).
+//
+// A symbolic cell costs a 24-byte polynomial header behind the pointer.
+// Bulk producers carve the headers from a slab and wrap them with PolyAt:
+// ParameterizeColumnWith allocates one header array per column next to
+// its monomial and term slabs, so instrumenting a column costs no
+// allocation per cell. Engine arithmetic that yields a symbolic value
+// allocates one header per result next to the result's monomials.
+//
 // # Iterator lifecycle
 //
 // The engine's Volcano operators uphold a strict lifecycle contract: an

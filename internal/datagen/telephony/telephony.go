@@ -159,6 +159,7 @@ func InstrumentPrices(cat engine.Catalog, names *polynomial.Names) (engine.Catal
 	if err != nil {
 		return nil, err
 	}
+	polys := make([]polynomial.Polynomial, len(clone.Rows)) // one slab for the price cells' headers
 	for ri := range clone.Rows {
 		row := &clone.Rows[ri]
 		plan := row.Values[planIdx].S
@@ -166,14 +167,14 @@ func InstrumentPrices(cat engine.Catalog, names *polynomial.Names) (engine.Catal
 		if !ok {
 			return nil, fmt.Errorf("telephony: unknown plan %q", plan)
 		}
-		mo := int(row.Values[moIdx].I)
+		mo := int(row.Values[moIdx].Int())
 		base, ok := row.Values[priceIdx].AsFloat()
 		if !ok {
 			return nil, fmt.Errorf("telephony: price is not numeric")
 		}
-		p := polynomial.New(polynomial.Mono(base,
+		polys[ri] = polynomial.New(polynomial.Mono(base,
 			polynomial.T(names.Var(pv)), polynomial.T(names.Var(MonthVar(mo)))))
-		row.Values[priceIdx] = relation.Poly(p)
+		row.Values[priceIdx] = relation.PolyAt(&polys[ri])
 	}
 	out := make(engine.Catalog, len(cat))
 	for k, v := range cat {

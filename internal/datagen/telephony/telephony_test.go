@@ -28,7 +28,7 @@ func TestGenerateShapeAndDeterminism(t *testing.T) {
 	}
 	for i := range cat1["Calls"].Rows {
 		a, b := cat1["Calls"].Rows[i], cat2["Calls"].Rows[i]
-		if a.Values[2].F != b.Values[2].F {
+		if a.Values[2].Float() != b.Values[2].Float() {
 			t.Fatal("generator not deterministic")
 		}
 	}
@@ -89,9 +89,9 @@ func TestDirectProvenanceMatchesEnginePath(t *testing.T) {
 		if !ok {
 			t.Fatalf("zip %s missing from direct set", zip)
 		}
-		if !polynomial.AlmostEqual(row.Values[1].P, want, 1e-9) {
+		if !polynomial.AlmostEqual(row.Values[1].Poly(), want, 1e-9) {
 			t.Fatalf("zip %s:\nengine: %s\ndirect: %s", zip,
-				row.Values[1].P.String(names), want.String(names))
+				row.Values[1].Poly().String(names), want.String(names))
 		}
 	}
 }

@@ -88,22 +88,22 @@ func (a *Arith) Eval(t *relation.Tuple) (relation.Value, error) {
 		case OpMul:
 			if l.Kind != relation.KindPoly {
 				lf, _ := l.AsFloat()
-				return simplify(polynomial.Scale(r.P, lf)), nil
+				return simplify(polynomial.Scale(r.Poly(), lf)), nil
 			}
 			if r.Kind != relation.KindPoly {
 				rf, _ := r.AsFloat()
-				return simplify(polynomial.Scale(l.P, rf)), nil
+				return simplify(polynomial.Scale(l.Poly(), rf)), nil
 			}
-			return simplify(polynomial.Mul(l.P, r.P)), nil
+			return simplify(polynomial.Mul(l.Poly(), r.Poly())), nil
 		case OpDiv:
 			if r.Kind != relation.KindPoly {
 				rf, _ := r.AsFloat()
 				if rf == 0 {
 					return relation.Null(), fmt.Errorf("engine: division by zero")
 				}
-				return simplify(polynomial.Scale(l.P, 1/rf)), nil
+				return simplify(polynomial.Scale(l.Poly(), 1/rf)), nil
 			}
-			c, ok := r.P.IsConstant()
+			c, ok := r.Poly().IsConstant()
 			if !ok {
 				return relation.Null(), fmt.Errorf("engine: division by a symbolic value")
 			}
@@ -114,7 +114,7 @@ func (a *Arith) Eval(t *relation.Tuple) (relation.Value, error) {
 				lf, _ := l.AsFloat()
 				return relation.Float(lf * (1 / c)), nil
 			}
-			return simplify(polynomial.Scale(l.P, 1/c)), nil
+			return simplify(polynomial.Scale(l.Poly(), 1/c)), nil
 		}
 		lp, _ := l.AsPoly()
 		rp, _ := r.AsPoly()
@@ -129,11 +129,11 @@ func (a *Arith) Eval(t *relation.Tuple) (relation.Value, error) {
 	if l.Kind == relation.KindInt && r.Kind == relation.KindInt && a.Op != OpDiv {
 		switch a.Op {
 		case OpAdd:
-			return relation.Int(l.I + r.I), nil
+			return relation.Int(l.Int() + r.Int()), nil
 		case OpSub:
-			return relation.Int(l.I - r.I), nil
+			return relation.Int(l.Int() - r.Int()), nil
 		case OpMul:
-			return relation.Int(l.I * r.I), nil
+			return relation.Int(l.Int() * r.Int()), nil
 		}
 	}
 	lf, _ := l.AsFloat()
@@ -178,11 +178,11 @@ func (n *Neg) Eval(t *relation.Tuple) (relation.Value, error) {
 	}
 	switch v.Kind {
 	case relation.KindInt:
-		return relation.Int(-v.I), nil
+		return relation.Int(-v.Int()), nil
 	case relation.KindFloat:
-		return relation.Float(-v.F), nil
+		return relation.Float(-v.Float()), nil
 	case relation.KindPoly:
-		return relation.Poly(polynomial.Neg(v.P)), nil
+		return relation.Poly(polynomial.Neg(v.Poly())), nil
 	default:
 		return relation.Null(), fmt.Errorf("engine: cannot negate %s", v.Kind)
 	}
@@ -268,7 +268,7 @@ func (l *Logic) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	lb := lv.Kind == relation.KindBool && lv.B
+	lb := lv.Bool()
 	switch l.Op {
 	case OpNot:
 		return relation.Bool(!lb), nil
@@ -285,7 +285,7 @@ func (l *Logic) Eval(t *relation.Tuple) (relation.Value, error) {
 	if err != nil {
 		return relation.Null(), err
 	}
-	return relation.Bool(rv.Kind == relation.KindBool && rv.B), nil
+	return relation.Bool(rv.Bool()), nil
 }
 
 func (l *Logic) String() string {
@@ -446,5 +446,5 @@ func (b *Between) String() string {
 
 // Truthy reports whether an evaluated condition admits the tuple.
 func Truthy(v relation.Value) bool {
-	return v.Kind == relation.KindBool && v.B
+	return v.Bool()
 }

@@ -114,32 +114,52 @@ func drain(it Iterator) ([]relation.Tuple, error) {
 	return rows, nil
 }
 
+// materializeFilter evaluates the predicate shard by shard, marking kept
+// rows and counting them per shard, then copies the kept rows into one
+// output slice of exact size: shard s writes from the sum of the earlier
+// shards' counts, so row order is input order.
 func materializeFilter(f *Filter, workers int) ([]relation.Tuple, error) {
 	in, err := materialize(f.in, workers)
 	if err != nil {
 		return nil, err
 	}
 	w := parallel.Normalize(workers)
-	kept := make([][]relation.Tuple, w)
+	keep := make([]bool, len(in))
+	counts := make([]int, w)
 	errs := make([]parallel.RowErr, w)
 	parallel.Chunks(workers, len(in), func(shard, lo, hi int) {
-		var out []relation.Tuple
 		for i := lo; i < hi; i++ {
 			v, err := f.pred.Eval(&in[i])
 			if err != nil {
 				errs[shard] = parallel.RowErr{Err: err, Row: i}
-				break
+				return
 			}
 			if Truthy(v) {
-				out = append(out, in[i])
+				keep[i] = true
+				counts[shard]++
 			}
 		}
-		kept[shard] = out
 	})
 	if bad := parallel.FirstRowErr(errs); bad.Err != nil {
 		return nil, bad.Err
 	}
-	return concatRows(kept), nil
+	total := 0
+	for s, c := range counts {
+		counts[s] = total // now the shard's output offset
+		total += c
+	}
+	out := make([]relation.Tuple, total)
+	// Same (workers, n) as above, so the same shard boundaries.
+	parallel.Chunks(workers, len(in), func(shard, lo, hi int) {
+		o := counts[shard]
+		for i := lo; i < hi; i++ {
+			if keep[i] {
+				out[o] = in[i]
+				o++
+			}
+		}
+	})
+	return out, nil
 }
 
 func materializeProject(p *Project, workers int) ([]relation.Tuple, error) {

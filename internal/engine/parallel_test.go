@@ -42,15 +42,15 @@ func sameValue(a, b relation.Value) bool {
 	}
 	switch a.Kind {
 	case relation.KindPoly:
-		return polynomial.Equal(a.P, b.P)
+		return polynomial.Equal(a.Poly(), b.Poly())
 	case relation.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case relation.KindInt:
-		return a.I == b.I
+		return a.Int() == b.Int()
 	case relation.KindString:
 		return a.S == b.S
 	case relation.KindBool:
-		return a.B == b.B
+		return a.Bool() == b.Bool()
 	default:
 		return true // NULL
 	}

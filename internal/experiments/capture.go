@@ -227,7 +227,7 @@ func sameInstrumented(a, b *relation.Relation) bool {
 			if av[ci].Kind != bv[ci].Kind {
 				return false
 			}
-			if av[ci].Kind == relation.KindPoly && !polynomial.Equal(av[ci].P, bv[ci].P) {
+			if av[ci].Kind == relation.KindPoly && !polynomial.Equal(av[ci].Poly(), bv[ci].Poly()) {
 				return false
 			}
 		}

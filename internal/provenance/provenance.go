@@ -123,7 +123,7 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 			cvals[ri] = c
 			if !concrete {
 				symbolic[ri] = true
-				bases[ri] = v.P
+				bases[ri] = v.Poly()
 			}
 			for si := 0; si < ns; si++ {
 				off := len(slab)
@@ -142,10 +142,11 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 
 	// Phase 2: intern sequentially in row order — Var allocation order is
 	// independent of the worker count — and finish concrete cells directly
-	// into column-wide slabs: one term vector and one monomial array shared
-	// by every cell, so a concrete cell is a single canonical monomial with
-	// the cell's constant as coefficient, allocated from the slabs. An
-	// error aborts at the first failing row, leaving earlier rows interned.
+	// into column-wide slabs: one term vector, one monomial array and one
+	// polynomial-header array shared by every cell, so a concrete cell is a
+	// single canonical monomial with the cell's constant as coefficient,
+	// allocated from the slabs. An error aborts at the first failing row,
+	// leaving earlier rows interned.
 	firstBad := parallel.FirstRowErr(errs)
 	limit := n
 	if firstBad.Err != nil {
@@ -153,7 +154,8 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 	}
 	termSlab := make([]polynomial.Term, 0, limit*ns)
 	monSlab := make([]polynomial.Monomial, n)
-	rowTerms := make([][]polynomial.Term, n) // retained for symbolic cells
+	polySlab := make([]polynomial.Polynomial, n) // cell headers by row, concrete and symbolic
+	rowTerms := make([][]polynomial.Term, n)     // retained for symbolic cells
 	for ri := 0; ri < limit; ri++ {
 		if skip[ri] {
 			continue
@@ -167,10 +169,11 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 		case symbolic[ri]:
 			rowTerms[ri] = terms
 		case cvals[ri] == 0:
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Polynomial{})
+			out.Rows[ri].Values[idx] = relation.PolyAt(nil) // the zero polynomial
 		default:
 			monSlab[ri] = polynomial.MonoIn(cvals[ri], terms)
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Polynomial{Mons: monSlab[ri : ri+1 : ri+1]})
+			polySlab[ri].Mons = monSlab[ri : ri+1 : ri+1]
+			out.Rows[ri].Values[idx] = relation.PolyAt(&polySlab[ri])
 		}
 	}
 	if firstBad.Err != nil {
@@ -186,13 +189,15 @@ func ParameterizeColumnN(rel *relation.Relation, target string, specs []VarSpec,
 	}
 
 	// Phase 3: symbolic cells need a general polynomial product; shard it.
+	// Each shard writes only its own rows' headers in polySlab.
 	parallel.Chunks(workers, n, func(_, lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
 			if !symbolic[ri] {
 				continue
 			}
 			factor := polynomial.New(polynomial.MonoIn(1, rowTerms[ri]))
-			out.Rows[ri].Values[idx] = relation.Poly(polynomial.Mul(bases[ri], factor))
+			polySlab[ri] = polynomial.Mul(bases[ri], factor)
+			out.Rows[ri].Values[idx] = relation.PolyAt(&polySlab[ri])
 		}
 	})
 	return out, nil
@@ -367,7 +372,7 @@ func Concretize(cat engine.Catalog, a *valuation.Assignment) engine.Catalog {
 		for ri := range c.Rows {
 			for vi, v := range c.Rows[ri].Values {
 				if v.Kind == relation.KindPoly {
-					c.Rows[ri].Values[vi] = relation.Float(v.P.Eval(a.Get))
+					c.Rows[ri].Values[vi] = relation.Float(v.Poly().Eval(a.Get))
 				}
 			}
 		}

@@ -81,7 +81,7 @@ func TestParameterizeColumn(t *testing.T) {
 		t.Fatal("ParameterizeColumn mutated its input")
 	}
 	want := polynomial.MustParse("0.4*p_A", names)
-	if !polynomial.AlmostEqual(out.Rows[0].Values[1].P, want, 1e-12) {
+	if !polynomial.AlmostEqual(out.Rows[0].Values[1].Poly(), want, 1e-12) {
 		t.Fatalf("cell = %s", out.Rows[0].Values[1].Format(names))
 	}
 	// Parameterizing a string column must fail.
@@ -181,7 +181,7 @@ func TestConcretize(t *testing.T) {
 	}
 	// March prices scaled by 0.8, month-1 prices unchanged.
 	for _, row := range conc["Plans"].Rows {
-		plan, mo, price := row.Values[0].S, row.Values[1].I, row.Values[2].F
+		plan, mo, price := row.Values[0].S, row.Values[1].Int(), row.Values[2].Float()
 		orig := map[string][2]float64{
 			"A": {0.4, 0.5}, "F1": {0.35, 0.35}, "Y1": {0.3, 0.25}, "V": {0.25, 0.2},
 			"SB1": {0.1, 0.1}, "SB2": {0.1, 0.15}, "E": {0.05, 0.05},
@@ -341,7 +341,7 @@ func TestParameterizeColumnNWorkerSweep(t *testing.T) {
 			if wv.Kind != gv.Kind {
 				t.Fatalf("workers=%d row %d: kind %s vs %s", workers, ri, gv.Kind, wv.Kind)
 			}
-			if wv.Kind == relation.KindPoly && !polynomial.Equal(wv.P, gv.P) {
+			if wv.Kind == relation.KindPoly && !polynomial.Equal(wv.Poly(), gv.Poly()) {
 				t.Fatalf("workers=%d row %d: polynomial diverged", workers, ri)
 			}
 		}

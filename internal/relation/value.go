@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/cobra-prov/cobra/internal/polynomial"
@@ -45,33 +46,82 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed cell value.
+// Value is a dynamically typed cell value, 40 bytes on 64-bit targets.
+// Only one payload is ever live, so the numeric kinds share one word: n
+// holds an int64's bits (KindInt), math.Float64bits (KindFloat) or 0/1
+// (KindBool). S is the KindString payload; p points to the polynomial of a
+// KindPoly cell (nil for the zero polynomial). Read payloads through Int,
+// Float, Bool and Poly; each returns its type's zero value for any other
+// kind.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
+	n    uint64
 	S    string
-	B    bool
-	P    polynomial.Polynomial
+	p    *polynomial.Polynomial
 }
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{Kind: KindNull} }
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, n: uint64(i)} }
 
 // Float wraps a float64.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, n: math.Float64bits(f)} }
 
 // Str wraps a string.
 func Str(s string) Value { return Value{Kind: KindString, S: s} }
 
 // Bool wraps a bool.
-func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{Kind: KindBool, n: 1}
+	}
+	return Value{Kind: KindBool}
+}
 
-// Poly wraps a symbolic numeric value.
-func Poly(p polynomial.Polynomial) Value { return Value{Kind: KindPoly, P: p} }
+// Poly wraps a symbolic numeric value. A polynomial with monomials costs
+// one 24-byte header on the heap; code that builds many cells at once
+// carves the headers from a slab and wraps them with PolyAt.
+func Poly(p polynomial.Polynomial) Value {
+	if p.Mons == nil {
+		return Value{Kind: KindPoly}
+	}
+	return Value{Kind: KindPoly, p: &p}
+}
+
+// PolyAt wraps the polynomial *p without copying it; the caller must not
+// modify *p afterwards. A nil p is the zero polynomial.
+func PolyAt(p *polynomial.Polynomial) Value { return Value{Kind: KindPoly, p: p} }
+
+// Int returns the payload of a KindInt value, 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
+
+// Float returns the payload of a KindFloat value, 0 for any other kind.
+// AsFloat converts every concrete numeric kind.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
+
+// Bool returns the payload of a KindBool value, false for any other kind.
+func (v Value) Bool() bool { return v.Kind == KindBool && v.n != 0 }
+
+// Poly returns the polynomial of a KindPoly value, the zero polynomial
+// for any other kind. AsPoly lifts every numeric kind.
+func (v Value) Poly() polynomial.Polynomial {
+	if v.Kind != KindPoly || v.p == nil {
+		return polynomial.Polynomial{}
+	}
+	return *v.p
+}
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -86,11 +136,11 @@ func (v Value) IsNumeric() bool {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.I), true
+		return float64(v.Int()), true
 	case KindFloat:
-		return v.F, true
+		return v.Float(), true
 	case KindPoly:
-		if c, ok := v.P.IsConstant(); ok {
+		if c, ok := v.Poly().IsConstant(); ok {
 			return c, true
 		}
 	}
@@ -101,11 +151,11 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsPoly() (polynomial.Polynomial, bool) {
 	switch v.Kind {
 	case KindInt:
-		return polynomial.Const(float64(v.I)), true
+		return polynomial.Const(float64(v.Int())), true
 	case KindFloat:
-		return polynomial.Const(v.F), true
+		return polynomial.Const(v.Float()), true
 	case KindPoly:
-		return v.P, true
+		return v.Poly(), true
 	}
 	return polynomial.Polynomial{}, false
 }
@@ -154,14 +204,7 @@ func (v Value) Compare(o Value) (int, error) {
 			return 0, nil
 		}
 	case KindBool:
-		vi, oi := 0, 0
-		if v.B {
-			vi = 1
-		}
-		if o.B {
-			oi = 1
-		}
-		return vi - oi, nil
+		return int(v.n) - int(o.n), nil
 	default:
 		return 0, fmt.Errorf("relation: cannot compare %s values", v.Kind)
 	}
@@ -187,19 +230,16 @@ func (v Value) Key(buf []byte) []byte {
 		return append(buf, 0)
 	case KindInt:
 		buf = append(buf, 1)
-		return strconv.AppendInt(buf, v.I, 10)
+		return strconv.AppendInt(buf, v.Int(), 10)
 	case KindFloat:
 		buf = append(buf, 2)
-		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.Float(), 'g', -1, 64)
 	case KindString:
 		buf = append(buf, 3)
 		buf = append(buf, v.S...)
 		return append(buf, 0)
 	case KindBool:
-		if v.B {
-			return append(buf, 4, 1)
-		}
-		return append(buf, 4, 0)
+		return append(buf, 4, byte(v.n))
 	default:
 		panic("relation: symbolic values cannot be used as hash keys")
 	}
@@ -222,16 +262,16 @@ func (v Value) AppendString(buf []byte) []byte {
 	case KindNull:
 		return append(buf, "NULL"...)
 	case KindInt:
-		return strconv.AppendInt(buf, v.I, 10)
+		return strconv.AppendInt(buf, v.Int(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(buf, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.Float(), 'g', -1, 64)
 	case KindString:
 		return append(buf, v.S...)
 	case KindBool:
-		return strconv.AppendBool(buf, v.B)
+		return strconv.AppendBool(buf, v.Bool())
 	case KindPoly:
 		buf = append(buf, "<poly:"...)
-		buf = strconv.AppendInt(buf, int64(v.P.NumMonomials()), 10)
+		buf = strconv.AppendInt(buf, int64(v.Poly().NumMonomials()), 10)
 		return append(buf, " monomials>"...)
 	default:
 		return append(buf, '?')
@@ -241,7 +281,7 @@ func (v Value) AppendString(buf []byte) []byte {
 // Format renders the value, printing symbolic values with variable names.
 func (v Value) Format(names *polynomial.Names) string {
 	if v.Kind == KindPoly {
-		return v.P.String(names)
+		return v.Poly().String(names)
 	}
 	return v.String()
 }

@@ -215,7 +215,7 @@ func TestAggregatesAndHaving(t *testing.T) {
 		t.Fatalf("rows = %d, want 1 (only 10001 has 4 customers)", out.Len())
 	}
 	r := out.Rows[0]
-	if r.Values[0].S != "10001" || r.Values[1].I != 4 || r.Values[2].I != 1 || r.Values[3].I != 5 {
+	if r.Values[0].S != "10001" || r.Values[1].Int() != 4 || r.Values[2].Int() != 1 || r.Values[3].Int() != 5 {
 		t.Fatalf("row = %v", r.Values)
 	}
 }
@@ -225,7 +225,7 @@ func TestGlobalAggregateNoGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Rows[0].Values[0].I != 7 || out.Rows[0].Values[1].F != 4 {
+	if out.Len() != 1 || out.Rows[0].Values[0].Int() != 7 || out.Rows[0].Values[1].Float() != 4 {
 		t.Fatalf("row = %v", out.Rows[0].Values)
 	}
 }
@@ -235,7 +235,7 @@ func TestOrderByDescAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 3 || out.Rows[0].Values[0].I != 7 || out.Rows[2].Values[0].I != 5 {
+	if out.Len() != 3 || out.Rows[0].Values[0].Int() != 7 || out.Rows[2].Values[0].Int() != 5 {
 		t.Fatalf("rows = %v", out.Rows)
 	}
 }
@@ -246,7 +246,7 @@ func TestOrderByAliasAndAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[1].I != 4 {
+	if out.Rows[0].Values[1].Int() != 4 {
 		t.Fatalf("first row should be the larger group: %v", out.Rows)
 	}
 	// Ordering by an aggregate not in the select list.
@@ -265,11 +265,11 @@ func TestArithmeticInSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rows[0].Values[0].I != 7 {
+	if out.Rows[0].Values[0].Int() != 7 {
 		t.Fatalf("x = %v", out.Rows[0].Values[0])
 	}
 	out, err = Run("SELECT -ID AS neg FROM Cust WHERE ID = 3", testCatalog())
-	if err != nil || out.Rows[0].Values[0].I != -3 {
+	if err != nil || out.Rows[0].Values[0].Int() != -3 {
 		t.Fatalf("neg = %v, %v", out.Rows, err)
 	}
 }
@@ -285,8 +285,8 @@ func TestSymbolicQueryThroughSQL(t *testing.T) {
 	}
 	for i := range plans.Rows {
 		plan := plans.Rows[i].Values[0].S
-		mo := plans.Rows[i].Values[1].I
-		price := plans.Rows[i].Values[2].F
+		mo := plans.Rows[i].Values[1].Int()
+		price := plans.Rows[i].Values[2].Float()
 		moVar := "m1"
 		if mo == 3 {
 			moVar = "m3"
@@ -317,8 +317,8 @@ func TestSymbolicQueryThroughSQL(t *testing.T) {
 		if row.Values[0].S == "10002" {
 			want = p2
 		}
-		if !polynomial.AlmostEqual(got.P, want, 1e-9) {
-			t.Fatalf("zip %s: %s", row.Values[0].S, got.P.String(names))
+		if !polynomial.AlmostEqual(got.Poly(), want, 1e-9) {
+			t.Fatalf("zip %s: %s", row.Values[0].S, got.Poly().String(names))
 		}
 	}
 }
@@ -330,7 +330,7 @@ func TestCommentsAndCaseInsensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 2 || out.Rows[0].Values[0].I != 1 {
+	if out.Len() != 2 || out.Rows[0].Values[0].Int() != 1 {
 		t.Fatalf("rows = %v", out.Rows)
 	}
 }
@@ -459,11 +459,11 @@ func sameResultRelation(a, b *relation.Relation) bool {
 			}
 			switch v.Kind {
 			case relation.KindPoly:
-				if !polynomial.Equal(v.P, w.P) {
+				if !polynomial.Equal(v.Poly(), w.Poly()) {
 					return false
 				}
 			case relation.KindFloat:
-				if math.Float64bits(v.F) != math.Float64bits(w.F) {
+				if math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
 					return false
 				}
 			default:

@@ -12,13 +12,19 @@ const (
 	jobFailed  = "failed"
 )
 
+// maxFinishedJobs caps how many finished (done or failed) jobs stay
+// pollable. Past it, the job that finished earliest is forgotten and its
+// id answers 404 like an unknown one; running jobs are never dropped.
+const maxFinishedJobs = 1024
+
 // jobs tracks background capture/compress work for status polling. Job
 // bodies run on the server's base context, so shutdown cancels them; the
 // server's WaitGroup waits for them to unwind.
 type jobs struct {
-	mu  sync.Mutex
-	seq int
-	m   map[string]*job
+	mu       sync.Mutex
+	seq      int
+	m        map[string]*job
+	finished []string // ids of finished jobs still in m, in finishing order
 }
 
 type job struct {
@@ -51,17 +57,32 @@ func (js *jobs) start(wg *sync.WaitGroup, fn func() (dataset string, result *Com
 		defer wg.Done()
 		dataset, result, err := runJob(fn)
 		j.mu.Lock()
-		defer j.mu.Unlock()
 		if err != nil {
 			j.state = jobFailed
 			j.err = err.Error()
-			return
+		} else {
+			j.state = jobDone
+			j.dataset = dataset
+			j.result = result
 		}
-		j.state = jobDone
-		j.dataset = dataset
-		j.result = result
+		j.mu.Unlock()
+		js.retire(j.id)
 	}()
 	return j.id
+}
+
+// retire records a finished job and forgets the earliest-finished ones
+// beyond maxFinishedJobs.
+func (js *jobs) retire(id string) {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	js.finished = append(js.finished, id)
+	if drop := len(js.finished) - maxFinishedJobs; drop > 0 {
+		for _, old := range js.finished[:drop] {
+			delete(js.m, old)
+		}
+		js.finished = append(js.finished[:0], js.finished[drop:]...)
+	}
 }
 
 // runJob calls fn, turning a panic into an error.
